@@ -20,17 +20,17 @@ fn fig08_stability(c: &mut Criterion) {
     // The paper's finding: the best-ranked candidate is sensitive to the
     // *number of functional requirements covered* and *adequacy of naming
     // conventions*; Understandability is fully stable.
-    let rf = maut_sense::stability_interval_ctx(&ctx, funct, StabilityMode::BestAlternative, 200);
+    let rf = maut_sense::stability_interval_ctx(&ctx, funct, StabilityMode::BestAlternative);
     assert!(
         !rf.is_fully_stable(1e-4),
         "funct requir must be sensitive: {rf:?}"
     );
-    let rn = maut_sense::stability_interval_ctx(&ctx, naming, StabilityMode::BestAlternative, 200);
+    let rn = maut_sense::stability_interval_ctx(&ctx, naming, StabilityMode::BestAlternative);
     assert!(
         !rn.is_fully_stable(1e-4),
         "naming conv must be sensitive: {rn:?}"
     );
-    let ru = maut_sense::stability_interval_ctx(&ctx, under, StabilityMode::BestAlternative, 200);
+    let ru = maut_sense::stability_interval_ctx(&ctx, under, StabilityMode::BestAlternative);
     assert!(
         ru.is_fully_stable(1e-4),
         "understandability must be stable: {ru:?}"
@@ -42,7 +42,6 @@ fn fig08_stability(c: &mut Criterion) {
                 &ctx,
                 funct,
                 StabilityMode::BestAlternative,
-                100,
             ))
         });
     });
@@ -52,7 +51,6 @@ fn fig08_stability(c: &mut Criterion) {
             black_box(maut_sense::stability::all_stability_intervals_ctx(
                 &ctx,
                 StabilityMode::BestAlternative,
-                50,
             ))
         });
     });

@@ -189,7 +189,6 @@ fn engine_bench(serving: &str) -> String {
     // 1k-trial Monte Carlo) for the perf trajectory.
     let mut engine = gmaa::AnalysisEngine::new(model.clone()).expect("valid");
     engine.mc_trials = 1_000;
-    engine.stability_resolution = 60;
     let engine_analyze_ns = time_ns(5, || {
         std::hint::black_box(engine.analyze().expect("solver healthy"));
     });
@@ -331,7 +330,6 @@ fn drive_serving(
         max_sessions_per_shard: cap,
         session: SessionConfig {
             mc_trials: 300,
-            stability_resolution: 40,
             ..SessionConfig::default()
         },
         ..ServeConfig::default()
@@ -443,7 +441,6 @@ fn serving_durable_bench() -> String {
         max_sessions_per_shard: 16,
         session: SessionConfig {
             mc_trials: 300,
-            stability_resolution: 40,
             ..SessionConfig::default()
         },
         ..ServeConfig::default()
@@ -619,7 +616,6 @@ fn serving_tcp_bench() -> String {
     let model = bench::paper();
     let session = SessionConfig {
         mc_trials: 300,
-        stability_resolution: 40,
         ..SessionConfig::default()
     };
 
@@ -925,7 +921,6 @@ fn serving_hetero_bench() -> String {
         shards: 4,
         session: SessionConfig {
             mc_trials: 300,
-            stability_resolution: 40,
             ..SessionConfig::default()
         },
         ..ServeConfig::default()
@@ -1105,7 +1100,6 @@ fn main() {
     let stab = maut_sense::stability::all_stability_intervals_ctx(
         &ctx,
         maut_sense::StabilityMode::BestAlternative,
-        200,
     );
     for r in &stab {
         if !r.is_fully_stable(1e-4) {

@@ -30,8 +30,6 @@ pub struct SessionConfig {
     /// workers are themselves threads, so nested fan-out only pays on
     /// machines with many more cores than shards.
     pub mc_threads: usize,
-    /// Scan resolution of the weight-stability stage.
-    pub stability_resolution: usize,
 }
 
 impl Default for SessionConfig {
@@ -40,7 +38,6 @@ impl Default for SessionConfig {
             mc_trials: 10_000,
             mc_seed: 20120402,
             mc_threads: 1,
-            stability_resolution: 100,
         }
     }
 }

@@ -34,7 +34,6 @@ impl Session {
         engine.mc_trials = config.mc_trials;
         engine.mc_seed = config.mc_seed;
         engine.mc_threads = config.mc_threads;
-        engine.stability_resolution = config.stability_resolution;
         Ok(Session {
             engine,
             config,

@@ -667,7 +667,6 @@ mod tests {
             4,
             SessionConfig {
                 mc_trials: 50,
-                stability_resolution: 20,
                 ..SessionConfig::default()
             },
         );

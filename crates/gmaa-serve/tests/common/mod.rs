@@ -14,7 +14,6 @@ use std::sync::{Condvar, Mutex};
 pub fn quick() -> SessionConfig {
     SessionConfig {
         mc_trials: 50,
-        stability_resolution: 10,
         ..SessionConfig::default()
     }
 }

@@ -8,7 +8,7 @@
 
 use gmaa_serve::{
     FileStore, FsyncPolicy, JournalRecord, Request, Response, ServeConfig, SessionConfig,
-    SessionManager, SessionStore,
+    SessionManager, SessionSnapshot, SessionStore,
 };
 use maut::{DecisionModel, Interval, Perf};
 use std::path::PathBuf;
@@ -21,7 +21,6 @@ fn paper() -> DecisionModel {
 fn quick() -> SessionConfig {
     SessionConfig {
         mc_trials: 300,
-        stability_resolution: 40,
         ..SessionConfig::default()
     }
 }
@@ -396,6 +395,52 @@ fn recovered_names_are_reserved_until_closed() {
     assert!(store.sessions().unwrap().is_empty());
     // Now the name is free again.
     create(&m, "analyst");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot stored before the stability stage lost its scan-resolution
+/// knob: its config still carries `"stability_resolution": 100`.
+const LEGACY_SNAPSHOT: &str = include_str!("fixtures/legacy_snapshot.json");
+
+/// A stored snapshot from before `SessionConfig` dropped
+/// `stability_resolution` still loads from a `FileStore` (the unknown
+/// field is ignored) and serves exactly the analysis of a session created
+/// fresh with the same model and settings.
+#[test]
+fn legacy_snapshot_with_stability_resolution_restores_and_serves() {
+    assert!(LEGACY_SNAPSHOT.contains("\"stability_resolution\":100"));
+    let snapshot: SessionSnapshot = serde_json::from_str(LEGACY_SNAPSHOT).unwrap();
+    let config = SessionConfig {
+        mc_trials: 50,
+        ..SessionConfig::default()
+    };
+    assert_eq!(snapshot.config, config);
+
+    let dir = temp_dir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("legacy.snap"), LEGACY_SNAPSHOT).unwrap();
+    let store = Arc::new(FileStore::open(&dir, FsyncPolicy::Never).unwrap());
+    let recovered = SessionManager::with_store(ServeConfig::default(), store).unwrap();
+    let restored = analyze(&recovered, "legacy");
+
+    let fresh = SessionManager::new(ServeConfig {
+        session: config,
+        ..ServeConfig::default()
+    });
+    assert!(matches!(
+        fresh.request(Request::CreateSession {
+            session: "legacy".into(),
+            model: gmaa::model_from_json(&snapshot.model_json).unwrap(),
+        }),
+        Ok(Response::Created)
+    ));
+    assert_bit_identical(&restored, &analyze(&fresh, "legacy"));
+    match recovered.request(Request::Snapshot {
+        session: "legacy".into(),
+    }) {
+        Ok(Response::Snapshot(s)) => assert_eq!(s.config, config),
+        other => panic!("snapshot: {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

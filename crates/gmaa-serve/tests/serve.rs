@@ -13,7 +13,6 @@ fn paper() -> DecisionModel {
 fn quick() -> SessionConfig {
     SessionConfig {
         mc_trials: 300,
-        stability_resolution: 40,
         ..SessionConfig::default()
     }
 }

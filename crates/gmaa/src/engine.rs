@@ -154,8 +154,6 @@ pub struct AnalysisEngine {
     /// Worker threads for the Monte Carlo stage (`0` = one per core,
     /// `1` = single-threaded); any value produces identical results.
     pub mc_threads: usize,
-    /// Scan resolution of the stability stage.
-    pub stability_resolution: usize,
 }
 
 impl Clone for AnalysisEngine {
@@ -172,7 +170,6 @@ impl Clone for AnalysisEngine {
             mc_trials: self.mc_trials,
             mc_seed: self.mc_seed,
             mc_threads: self.mc_threads,
-            stability_resolution: self.stability_resolution,
         }
     }
 }
@@ -187,7 +184,6 @@ impl AnalysisEngine {
             mc_trials: 10_000,
             mc_seed: 20120402,
             mc_threads: 0,
-            stability_resolution: 100,
         })
     }
 
@@ -296,12 +292,12 @@ impl AnalysisEngine {
 
     /// Weight stability interval of one objective (Fig 8).
     pub fn stability_of(&self, objective: ObjectiveId, mode: StabilityMode) -> StabilityReport {
-        stability::stability_interval_ctx(&self.ctx, objective, mode, self.stability_resolution)
+        stability::stability_interval_ctx(&self.ctx, objective, mode)
     }
 
     /// Stability intervals of every non-root objective.
     pub fn stability_all(&self, mode: StabilityMode) -> Vec<StabilityReport> {
-        stability::all_stability_intervals_ctx(&self.ctx, mode, self.stability_resolution)
+        stability::all_stability_intervals_ctx(&self.ctx, mode)
     }
 
     /// Full pairwise dominance matrix.
@@ -456,7 +452,6 @@ mod tests {
     fn engine() -> AnalysisEngine {
         let mut e = AnalysisEngine::new(paper_model().model).expect("paper model is valid");
         e.mc_trials = 500; // keep unit tests quick; benches run the full 10k
-        e.stability_resolution = 60;
         e
     }
 
@@ -523,7 +518,6 @@ mod tests {
         // model, for every analysis.
         let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
         fresh.mc_trials = e.mc_trials;
-        fresh.stability_resolution = e.stability_resolution;
         assert_eq!(after, fresh.evaluate());
         assert_eq!(e.non_dominated(), fresh.non_dominated());
         assert_eq!(
@@ -595,7 +589,6 @@ mod tests {
 
         let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
         fresh.mc_trials = e.mc_trials;
-        fresh.stability_resolution = e.stability_resolution;
         let full = fresh.analyze().expect("solver healthy");
         assert_eq!(incr.evaluation, full.evaluation);
         assert_eq!(incr.non_dominated, full.non_dominated);

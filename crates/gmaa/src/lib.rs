@@ -27,7 +27,6 @@
 //! // The paper's 23-ontology case study, ready to analyze.
 //! let mut engine = AnalysisEngine::new(neon_reuse::paper_model().model).unwrap();
 //! engine.mc_trials = 200; // keep the doctest quick
-//! engine.stability_resolution = 40;
 //!
 //! // Figs 6–10 in one call: evaluation, stability, the Section V discard
 //! // cycle, Monte Carlo. The incremental entry point primes the cycle

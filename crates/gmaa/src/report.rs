@@ -322,7 +322,7 @@ mod tests {
         let model = paper_model().model;
         let target = model.tree.find("funct_requir").unwrap();
         let c = ctx();
-        let r = maut_sense::stability_interval_ctx(&c, target, StabilityMode::BestAlternative, 50);
+        let r = maut_sense::stability_interval_ctx(&c, target, StabilityMode::BestAlternative);
         let text = stability(&model, &[r]);
         assert!(text.contains("functional requirements"));
     }

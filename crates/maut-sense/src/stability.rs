@@ -8,11 +8,17 @@
 //! still sums to 1, and everything below each node keeps its internal
 //! distribution.
 //!
-//! The interval is found by scanning `w` over `[0, 1]` and refining the
-//! boundaries by bisection; the additive model makes rank changes monotone
-//! enough in practice that this is robust at the default resolution.
+//! Under that rescaling every alternative's average score is affine in
+//! `w`. A leaf under the target weighs `P·w`. A leaf under a sibling `s`
+//! weighs `f_s·P·(1 − w)`, where `f_s` is the sibling's share of the
+//! non-target mass. Every other leaf keeps its weight. Here `P` is the
+//! product of the unchanged averages on the leaf's path. Each criterion
+//! is therefore an intersection of half-lines `s_b(w) − s_j(w) + ε ≥ 0`,
+//! and the stable set is an exact interval, computed in closed form. The
+//! reference ranking comes from one probe at the elicited weight, so
+//! exact ties at `current` break the way the ranking does.
 
-use maut::{DecisionModel, EvalContext, ObjectiveId, ORDERING_EPS};
+use maut::{EvalContext, ObjectiveId, ObjectiveTree, ORDERING_EPS};
 use serde::{Deserialize, Serialize};
 
 /// What must stay unchanged inside the stability interval.
@@ -27,7 +33,7 @@ pub enum StabilityMode {
 /// Stability interval of one objective.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StabilityReport {
-    /// The objective whose weight was scanned.
+    /// The objective whose weight was varied.
     pub objective: ObjectiveId,
     /// Which stability criterion was applied.
     pub mode: StabilityMode,
@@ -52,186 +58,179 @@ impl StabilityReport {
     }
 }
 
-/// Average-utility scores when `target`'s normalized average weight is
-/// forced to `w` (its siblings rescaled proportionally).
-fn scores_with_weight(
-    model: &DecisionModel,
-    avg_matrix: &[Vec<f64>],
-    base_avgs: &[f64],
-    target: ObjectiveId,
-    w: f64,
-) -> Vec<f64> {
-    // Per-node average normalized local weight with the override applied.
-    let tree = &model.tree;
-    let mut node_avg = base_avgs.to_vec();
-    let sibs = tree.siblings(target);
-    let old = base_avgs[target.index()];
-    node_avg[target.index()] = w;
+/// Per-call state: every leaf's path, walked once and shared by all
+/// targets, plus the scratch each target's interval is evaluated in.
+/// Node and attribute weights are held as `a + b·w`, scores as
+/// `alpha + beta·w`.
+struct Workspace {
+    /// `(attribute, start, end)`: the leaf's root-exclusive path, root
+    /// first, is `path_nodes[start..end]`.
+    leaves: Vec<(usize, usize, usize)>,
+    path_nodes: Vec<usize>,
+    node_a: Vec<f64>,
+    node_b: Vec<f64>,
+    flat_a: Vec<f64>,
+    flat_b: Vec<f64>,
+    alpha: Vec<f64>,
+    beta: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl Workspace {
+    fn new(ctx: &EvalContext) -> Workspace {
+        let (model, tree) = (ctx.model(), &ctx.model().tree);
+        let (nodes, attrs, alts) = (tree.len(), model.num_attributes(), model.num_alternatives());
+        let mut leaves = Vec::new();
+        let mut path_nodes = Vec::new();
+        for leaf in tree.leaves_under(tree.root()) {
+            let start = path_nodes.len();
+            path_nodes.extend(tree.path_to(leaf).iter().skip(1).map(|id| id.index()));
+            let attr = tree.get(leaf).attribute.expect("leaf");
+            leaves.push((attr.index(), start, path_nodes.len()));
+        }
+        Workspace {
+            leaves,
+            path_nodes,
+            node_a: vec![0.0; nodes],
+            node_b: vec![0.0; nodes],
+            flat_a: vec![0.0; attrs],
+            flat_b: vec![0.0; attrs],
+            alpha: vec![0.0; alts],
+            beta: vec![0.0; alts],
+            order: vec![0; alts],
+        }
+    }
+
+    /// The exact stability interval of `target` (must not be the root).
+    fn objective_interval(
+        &mut self,
+        ctx: &EvalContext,
+        target: ObjectiveId,
+        mode: StabilityMode,
+    ) -> StabilityReport {
+        let tree = &ctx.model().tree;
+        assert!(target != tree.root(), "stability of the root is undefined");
+        let base = ctx.node_averages();
+        let current = base[target.index()];
+
+        // Reference ranking: one probe at the elicited weight.
+        group_weights(tree, base, target, current, &mut self.node_a);
+        self.node_b.fill(0.0);
+        self.affine_scores(ctx.avg_matrix());
+        rank_into(&self.alpha, &mut self.order);
+
+        // Closed form: a node's weight is `v(0) + (v(1) − v(0))·w`.
+        group_weights(tree, base, target, 0.0, &mut self.node_a);
+        group_weights(tree, base, target, 1.0, &mut self.node_b);
+        for (b, a) in self.node_b.iter_mut().zip(&self.node_a) {
+            *b -= a;
+        }
+        self.affine_scores(ctx.avg_matrix());
+
+        // `i` must stay at least level with `j`: `c + d·w ≥ 0`. With
+        // `d = 0` that holds everywhere, as the reference ranks `i` first.
+        let (alpha, beta) = (&self.alpha, &self.beta);
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        let mut keep_ahead = |i: usize, j: usize| {
+            let c = alpha[i] - alpha[j] + ORDERING_EPS;
+            let d = beta[i] - beta[j];
+            if d > 0.0 {
+                lo = lo.max(-c / d);
+            } else if d < 0.0 {
+                hi = hi.min(-c / d);
+            }
+        };
+        match mode {
+            StabilityMode::BestAlternative => {
+                let best = self.order[0];
+                (0..self.order.len()).for_each(|j| keep_ahead(best, j));
+            }
+            StabilityMode::FullRanking => {
+                self.order.windows(2).for_each(|p| keep_ahead(p[0], p[1]));
+            }
+        }
+        StabilityReport {
+            objective: target,
+            mode,
+            current,
+            lo: lo.min(current).max(0.0),
+            hi: hi.max(current).min(1.0),
+        }
+    }
+
+    /// Attribute weights as path products of the node weights (at most
+    /// one node per path varies with `w`, so each stays affine), then
+    /// every alternative's score.
+    fn affine_scores(&mut self, avg_matrix: &[Vec<f64>]) {
+        for &(attr, start, end) in &self.leaves {
+            let (mut a, mut b) = (1.0, 0.0);
+            for &n in &self.path_nodes[start..end] {
+                b = a * self.node_b[n] + b * self.node_a[n];
+                a *= self.node_a[n];
+            }
+            self.flat_a[attr] = a;
+            self.flat_b[attr] = b;
+        }
+        for ((row, alpha), beta) in avg_matrix.iter().zip(&mut self.alpha).zip(&mut self.beta) {
+            *alpha = row.iter().zip(&self.flat_a).map(|(u, w)| u * w).sum();
+            *beta = row.iter().zip(&self.flat_b).map(|(u, w)| u * w).sum();
+        }
+    }
+}
+
+/// Node average weights with `target` forced to `w` and its siblings
+/// rescaled proportionally.
+fn group_weights(tree: &ObjectiveTree, base: &[f64], target: ObjectiveId, w: f64, out: &mut [f64]) {
+    out.copy_from_slice(base);
+    out[target.index()] = w;
+    let Some(parent) = tree.get(target).parent else {
+        return;
+    };
+    let sibs = &tree.get(parent).children;
     let rest: f64 = sibs
         .iter()
         .filter(|s| **s != target)
-        .map(|s| base_avgs[s.index()])
+        .map(|s| base[s.index()])
         .sum();
-    for s in &sibs {
-        if *s == target {
-            continue;
-        }
-        node_avg[s.index()] = if rest > 1e-12 {
-            base_avgs[s.index()] * (1.0 - w) / rest
+    for s in sibs.iter().filter(|s| **s != target) {
+        out[s.index()] = if rest > 1e-12 {
+            base[s.index()] * (1.0 - w) / rest
         } else {
             // target previously had all the mass; spread remainder evenly
             (1.0 - w) / (sibs.len() - 1).max(1) as f64
         };
     }
-    let _ = old;
-
-    // Flat attribute weights = product of node averages along paths.
-    let mut flat = vec![0.0; model.num_attributes()];
-    for leaf in tree.leaves_under(tree.root()) {
-        let attr = tree.get(leaf).attribute.expect("leaf");
-        let mut p = 1.0;
-        for id in tree.path_to(leaf) {
-            if id == tree.root() {
-                continue;
-            }
-            p *= node_avg[id.index()];
-        }
-        flat[attr.index()] = p;
-    }
-
-    avg_matrix
-        .iter()
-        .map(|row| row.iter().zip(&flat).map(|(u, w)| u * w).sum())
-        .collect()
 }
 
-fn ranking_of(scores: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
+/// Alternatives by descending score, ties by index.
+fn rank_into(scores: &[f64], order: &mut [usize]) {
+    for (k, slot) in order.iter_mut().enumerate() {
+        *slot = k;
+    }
     // total_cmp: scores are finite for every valid model, but a NaN that
-    // slips through must not abort the scan — the order stays total and
-    // deterministic (both rankings the criterion compares are produced by
-    // this same function, so any total order is consistent).
-    idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    idx
+    // slips through must not abort the analysis. The index tie-break makes
+    // the order total, so the unstable sort is deterministic.
+    order.sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
 }
 
-/// Score-based criterion with a tie tolerance: an exact tie at a weight
-/// extreme (two alternatives identical on the active criteria) does not
-/// count as a rank change.
-fn criterion_holds(reference: &[usize], scores: &[f64], mode: StabilityMode) -> bool {
-    match mode {
-        StabilityMode::BestAlternative => {
-            let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            scores[reference[0]] >= best - ORDERING_EPS
-        }
-        StabilityMode::FullRanking => reference
-            .windows(2)
-            .all(|w| scores[w[0]] >= scores[w[1]] - ORDERING_EPS),
-    }
-}
-
-/// Compute the stability interval of `target` (must not be the root).
-///
-/// `resolution` is the number of scan steps (≥ 10; 200 is plenty for the
-/// 23-alternative case study), boundaries are bisected to `1e-4`.
 /// Compute the stability interval of `target` against a shared evaluation
 /// context (must not be the root).
 pub fn stability_interval_ctx(
     ctx: &EvalContext,
     target: ObjectiveId,
     mode: StabilityMode,
-    resolution: usize,
 ) -> StabilityReport {
-    stability_core(
-        ctx.model(),
-        ctx.avg_matrix(),
-        ctx.node_averages(),
-        target,
-        mode,
-        resolution,
-    )
-}
-
-fn stability_core(
-    model: &DecisionModel,
-    avg_matrix: &[Vec<f64>],
-    base_avgs: &[f64],
-    target: ObjectiveId,
-    mode: StabilityMode,
-    resolution: usize,
-) -> StabilityReport {
-    assert!(
-        target != model.tree.root(),
-        "stability of the root is undefined"
-    );
-    let resolution = resolution.max(10);
-    let current = base_avgs[target.index()];
-    let reference = ranking_of(&scores_with_weight(
-        model, avg_matrix, base_avgs, target, current,
-    ));
-
-    let holds = |w: f64| -> bool {
-        let s = scores_with_weight(model, avg_matrix, base_avgs, target, w);
-        criterion_holds(&reference, &s, mode)
-    };
-
-    // Scan outward from `current` so the interval is the connected component
-    // containing the elicited weight.
-    let step = 1.0 / resolution as f64;
-    let mut lo = current;
-    while lo - step >= -1e-12 && holds((lo - step).max(0.0)) {
-        lo = (lo - step).max(0.0);
-    }
-    let mut hi = current;
-    while hi + step <= 1.0 + 1e-12 && holds((hi + step).min(1.0)) {
-        hi = (hi + step).min(1.0);
-    }
-    // Bisect the two boundaries.
-    if lo > 0.0 {
-        let mut bad = (lo - step).max(0.0);
-        for _ in 0..20 {
-            let mid = (bad + lo) / 2.0;
-            if holds(mid) {
-                lo = mid;
-            } else {
-                bad = mid;
-            }
-        }
-    }
-    if hi < 1.0 {
-        let mut bad = (hi + step).min(1.0);
-        for _ in 0..20 {
-            let mid = (bad + hi) / 2.0;
-            if holds(mid) {
-                hi = mid;
-            } else {
-                bad = mid;
-            }
-        }
-    }
-
-    StabilityReport {
-        objective: target,
-        mode,
-        current,
-        lo,
-        hi,
-    }
+    Workspace::new(ctx).objective_interval(ctx, target, mode)
 }
 
 /// Stability intervals for every non-root objective, against a shared
 /// evaluation context.
-pub fn all_stability_intervals_ctx(
-    ctx: &EvalContext,
-    mode: StabilityMode,
-    resolution: usize,
-) -> Vec<StabilityReport> {
-    let model = ctx.model();
-    model
-        .tree
-        .iter()
-        .filter(|(id, _)| *id != model.tree.root())
-        .map(|(id, _)| stability_interval_ctx(ctx, id, mode, resolution))
+pub fn all_stability_intervals_ctx(ctx: &EvalContext, mode: StabilityMode) -> Vec<StabilityReport> {
+    let mut ws = Workspace::new(ctx);
+    let tree = &ctx.model().tree;
+    tree.iter()
+        .filter(|(id, _)| *id != tree.root())
+        .map(|(id, _)| ws.objective_interval(ctx, id, mode))
         .collect()
 }
 
@@ -260,14 +259,11 @@ mod tests {
     fn flip_point_is_found() {
         let m = model();
         let x = m.tree.find("x").unwrap();
-        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::BestAlternative, 200);
+        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::BestAlternative);
         // x-wins and y-wins tie at w_x = 0.5; below that y-wins leads.
         assert!((r.current - 0.5).abs() < 1e-9);
-        assert!(
-            r.hi >= 1.0 - 1e-6,
-            "raising x's weight keeps x-wins best: {r:?}"
-        );
-        assert!(r.lo > 0.4 && r.lo <= 0.51, "flip near 0.5: {r:?}");
+        assert_eq!(r.hi, 1.0, "raising x's weight keeps x-wins best: {r:?}");
+        assert!((r.lo - 0.5).abs() < 1e-8, "flip at 0.5: {r:?}");
         assert!(!r.is_fully_stable(1e-6));
     }
 
@@ -281,9 +277,11 @@ mod tests {
         b.alternative("worst", vec![Perf::level(0), Perf::level(0)]);
         let m = b.build().unwrap();
         let x = m.tree.find("x").unwrap();
-        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::FullRanking, 100);
-        assert!(r.is_fully_stable(1e-6), "{r:?}");
-        assert_eq!(r.width(), r.hi - r.lo);
+        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::FullRanking);
+        // Stable to both edges: the endpoints are exact, not scan residues.
+        assert_eq!((r.lo, r.hi), (0.0, 1.0), "{r:?}");
+        assert!(r.is_fully_stable(0.0));
+        assert_eq!(r.width(), 1.0);
     }
 
     #[test]
@@ -291,8 +289,8 @@ mod tests {
         let m = model();
         let x = m.tree.find("x").unwrap();
         let c = ctx(&m);
-        let best = stability_interval_ctx(&c, x, StabilityMode::BestAlternative, 100);
-        let full = stability_interval_ctx(&c, x, StabilityMode::FullRanking, 100);
+        let best = stability_interval_ctx(&c, x, StabilityMode::BestAlternative);
+        let full = stability_interval_ctx(&c, x, StabilityMode::FullRanking);
         assert!(full.lo >= best.lo - 1e-9);
         assert!(full.hi <= best.hi + 1e-9);
     }
@@ -300,15 +298,20 @@ mod tests {
     #[test]
     fn all_intervals_cover_every_objective() {
         let m = model();
-        let rs = all_stability_intervals_ctx(&ctx(&m), StabilityMode::BestAlternative, 50);
+        let c = ctx(&m);
+        let rs = all_stability_intervals_ctx(&c, StabilityMode::BestAlternative);
         assert_eq!(rs.len(), m.tree.len() - 1);
+        // The shared workspace gives the same answer as a one-off call.
+        for r in &rs {
+            assert_eq!(*r, stability_interval_ctx(&c, r.objective, r.mode));
+        }
     }
 
     #[test]
     #[should_panic(expected = "root is undefined")]
     fn root_is_rejected() {
         let m = model();
-        stability_interval_ctx(&ctx(&m), m.tree.root(), StabilityMode::BestAlternative, 50);
+        stability_interval_ctx(&ctx(&m), m.tree.root(), StabilityMode::BestAlternative);
     }
 
     #[test]
@@ -333,9 +336,58 @@ mod tests {
         );
         let m = b.build().unwrap();
         let g_id = m.tree.find("g").unwrap();
-        let r = stability_interval_ctx(&ctx(&m), g_id, StabilityMode::BestAlternative, 200);
-        // g-strong is best at 0.6; it stays best down to 0.5 and up to 1.
-        assert!(r.hi >= 1.0 - 1e-6);
-        assert!((r.lo - 0.5).abs() < 0.02, "{r:?}");
+        let r = stability_interval_ctx(&ctx(&m), g_id, StabilityMode::BestAlternative);
+        // g-strong scores w and z-strong 1 − w: g-strong is best at 0.6 and
+        // stays best down to 0.5 and up to 1.
+        assert_eq!(r.hi, 1.0);
+        assert!((r.lo - 0.5).abs() < 1e-8, "{r:?}");
+        // A leaf inside G moves only its share of G's mass.
+        let x_id = m.tree.find("x").unwrap();
+        let r = stability_interval_ctx(&ctx(&m), x_id, StabilityMode::BestAlternative);
+        assert_eq!((r.lo, r.hi), (0.0, 1.0), "{r:?}");
+    }
+
+    #[test]
+    fn only_child_objective_is_stable_everywhere() {
+        // root -> G -> {x, y}: G has no siblings, so its weight scales
+        // every score alike and never changes the ranking.
+        let mut b = DecisionModelBuilder::new("m");
+        let g = b.objective_under_root("g", "G", Interval::point(1.0));
+        let x = b.discrete_attribute("x", "X", &["l", "h"]);
+        let y = b.discrete_attribute("y", "Y", &["l", "h"]);
+        b.attach_attribute(g, x, Interval::point(0.7));
+        b.attach_attribute(g, y, Interval::point(0.3));
+        b.alternative("x-strong", vec![Perf::level(1), Perf::level(0)]);
+        b.alternative("y-strong", vec![Perf::level(0), Perf::level(1)]);
+        let m = b.build().unwrap();
+        let g_id = m.tree.find("g").unwrap();
+        let c = ctx(&m);
+        for mode in [StabilityMode::BestAlternative, StabilityMode::FullRanking] {
+            let r = stability_interval_ctx(&c, g_id, mode);
+            assert_eq!((r.lo, r.current, r.hi), (0.0, 1.0, 1.0), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn target_holding_all_sibling_mass_spreads_the_rest_evenly() {
+        // x holds all of the root's mass (current = 1, the others' sum is
+        // 0): lowering x hands (1 − w)/2 to each of y and z. `a` scores w
+        // and `b` scores 1 − w, so `b` takes over below 0.5.
+        let mut b = DecisionModelBuilder::new("m");
+        let x = b.discrete_attribute("x", "X", &["l", "h"]);
+        let y = b.discrete_attribute("y", "Y", &["l", "h"]);
+        let z = b.discrete_attribute("z", "Z", &["l", "h"]);
+        b.attach_attributes_to_root(&[
+            (x, Interval::point(1.0)),
+            (y, Interval::point(0.0)),
+            (z, Interval::point(0.0)),
+        ]);
+        b.alternative("a", vec![Perf::level(1), Perf::level(0), Perf::level(0)]);
+        b.alternative("b", vec![Perf::level(0), Perf::level(1), Perf::level(1)]);
+        let m = b.build().unwrap();
+        let x_id = m.tree.find("x").unwrap();
+        let r = stability_interval_ctx(&ctx(&m), x_id, StabilityMode::BestAlternative);
+        assert_eq!((r.current, r.hi), (1.0, 1.0), "{r:?}");
+        assert!((r.lo - 0.5).abs() < 1e-8, "{r:?}");
     }
 }

@@ -48,8 +48,8 @@ proptest! {
     fn stability_nesting(model in model_strategy()) {
         let target = model.tree.get(model.tree.root()).children[0];
         let c = ctx(&model);
-        let best = maut_sense::stability_interval_ctx(&c, target, StabilityMode::BestAlternative, 40);
-        let full = maut_sense::stability_interval_ctx(&c, target, StabilityMode::FullRanking, 40);
+        let best = maut_sense::stability_interval_ctx(&c, target, StabilityMode::BestAlternative);
+        let full = maut_sense::stability_interval_ctx(&c, target, StabilityMode::FullRanking);
         prop_assert!(best.lo >= -1e-9 && best.hi <= 1.0 + 1e-9);
         prop_assert!(best.lo <= best.current + 1e-9 && best.current <= best.hi + 1e-9);
         prop_assert!(full.lo >= best.lo - 1e-6);

@@ -18,7 +18,6 @@ fn config() -> ServeConfig {
         max_sessions_per_shard: 2,
         session: SessionConfig {
             mc_trials: 2_000,
-            stability_resolution: 60,
             ..SessionConfig::default()
         },
         ..ServeConfig::default()

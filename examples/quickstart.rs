@@ -73,7 +73,6 @@ fn main() {
     let mut engine = AnalysisEngine::new(model).expect("model validated");
     engine.mc_trials = 5000;
     engine.mc_seed = 42;
-    engine.stability_resolution = 200;
 
     // 4. Evaluate: min / avg / max overall utilities, ranked by average.
     let eval = engine.evaluate();

@@ -46,7 +46,6 @@ fn main() {
         max_sessions_per_shard: 1,
         session: SessionConfig {
             mc_trials: 2_000,
-            stability_resolution: 60,
             ..SessionConfig::default()
         },
         ..ServeConfig::default()

@@ -13,7 +13,6 @@ use neon_reuse::paper_model;
 fn engine() -> AnalysisEngine {
     let mut e = AnalysisEngine::new(paper_model().model).expect("paper model is valid");
     e.mc_trials = 1_000;
-    e.stability_resolution = 60;
     e
 }
 
@@ -116,7 +115,6 @@ fn incremental_set_perf_matches_from_scratch_exactly() {
     // A fresh engine over the mutated model must agree bit-for-bit.
     let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
     fresh.mc_trials = e.mc_trials;
-    fresh.stability_resolution = e.stability_resolution;
     assert_eq!(incremental, fresh.evaluate());
 
     // Only the three touched rows were re-scored.

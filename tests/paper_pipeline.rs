@@ -99,8 +99,8 @@ fn section5_stability_identifies_the_papers_two_criteria() {
     let funct = model.tree.find("funct_requir").expect("exists");
     let naming = model.tree.find("naming_conv").expect("exists");
     let ctx = EvalContext::new(model.clone()).expect("valid");
-    let rf = maut_sense::stability_interval_ctx(&ctx, funct, StabilityMode::BestAlternative, 300);
-    let rn = maut_sense::stability_interval_ctx(&ctx, naming, StabilityMode::BestAlternative, 300);
+    let rf = maut_sense::stability_interval_ctx(&ctx, funct, StabilityMode::BestAlternative);
+    let rn = maut_sense::stability_interval_ctx(&ctx, naming, StabilityMode::BestAlternative);
     assert!(!rf.is_fully_stable(1e-4), "funct requir sensitive: {rf:?}");
     assert!(!rn.is_fully_stable(1e-4), "naming conv sensitive: {rn:?}");
     // Understandability (and its three criteria) are fully stable.
@@ -111,7 +111,7 @@ fn section5_stability_identifies_the_papers_two_criteria() {
         "code_clarity",
     ] {
         let id = model.tree.find(key).expect("exists");
-        let r = maut_sense::stability_interval_ctx(&ctx, id, StabilityMode::BestAlternative, 300);
+        let r = maut_sense::stability_interval_ctx(&ctx, id, StabilityMode::BestAlternative);
         assert!(r.is_fully_stable(1e-4), "{key} should be stable: {r:?}");
     }
 }
@@ -204,7 +204,6 @@ fn section6_final_selection() {
 fn gmaa_facade_runs_the_whole_cycle() {
     let mut g = AnalysisEngine::new(dataset::paper_model().model).expect("valid");
     g.mc_trials = 1_000;
-    g.stability_resolution = 50;
     let analysis = g.analyze().expect("solver healthy");
     assert_eq!(analysis.evaluation.bounds.len(), 23);
     assert_eq!(analysis.potential.len(), 23);

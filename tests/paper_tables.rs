@@ -2,7 +2,7 @@
 //!
 //! Snapshots the 23 × 14 evaluation table (Fig 6 min/avg/max per
 //! alternative), the weight stability intervals (Fig 8, best-alternative
-//! mode at resolution 200), and the non-dominated set (Section V) against
+//! mode), and the non-dominated set (Section V) against
 //! the checked-in fixture `tests/fixtures/paper_tables.txt`, so a future
 //! refactor of the evaluation kernels cannot silently shift the paper's
 //! numbers. Everything is rounded to six decimals — real regressions move
@@ -34,7 +34,7 @@ fn render_tables() -> String {
     }
 
     out.push_str("\n# stability intervals (Fig 8): objective lo hi current\n");
-    for r in stability::all_stability_intervals_ctx(&ctx, StabilityMode::BestAlternative, 200) {
+    for r in stability::all_stability_intervals_ctx(&ctx, StabilityMode::BestAlternative) {
         let key = &ctx.model().tree.get(r.objective).key;
         writeln!(out, "{key}\t{:.6}\t{:.6}\t{:.6}", r.lo, r.hi, r.current).expect("write");
     }

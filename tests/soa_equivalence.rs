@@ -483,7 +483,6 @@ fn check_edit_sequence_on(model: DecisionModel, seed: u64, edits: usize, check_e
     let mut rng = StdRng::seed_from_u64(seed ^ 0xED17);
     let mut engine = gmaa::AnalysisEngine::new(model).expect("valid");
     engine.mc_trials = 60;
-    engine.stability_resolution = 12;
     // Prime the incremental cache mid-history (not at a clean start) for
     // odd seeds, so both "cache exists" and "no cache yet" first-calls run.
     if seed % 2 == 1 {
@@ -520,7 +519,6 @@ fn check_edit_sequence_on(model: DecisionModel, seed: u64, edits: usize, check_e
             let analysis = engine.analyze_incremental().expect("solver healthy");
             let mut cold = gmaa::AnalysisEngine::new(engine.model().clone()).expect("valid");
             cold.mc_trials = engine.mc_trials;
-            cold.stability_resolution = engine.stability_resolution;
             let reference = cold.analyze().expect("solver healthy");
             assert_eq!(
                 analysis.evaluation, reference.evaluation,
