@@ -26,8 +26,8 @@ use maut::{
     UtilityBounds,
 };
 use maut_sense::{
-    dominance, intensity, montecarlo::MonteCarlo, potential, stability, DominanceInterval,
-    DominanceOutcome, IntensityRank, LpError, MonteCarloConfig, MonteCarloResult, PotentialCert,
+    dominance, intensity, montecarlo::MonteCarlo, potential, stability, DominanceOutcome,
+    IntensityRank, IntervalMatrix, LpError, MonteCarloConfig, MonteCarloResult, PotentialCert,
     PotentialOutcome, StabilityMode, StabilityReport,
 };
 use serde::{Deserialize, Serialize};
@@ -99,13 +99,15 @@ impl Analysis {
 /// ([`EvalContext::take_analysis_dirty`]) and brings exactly those
 /// rows/columns (intervals) and certificates (potential optimality) up to
 /// date, so cache + drained-delta ≡ current context. A weight-side edit
-/// invalidates every pair at once; the cache is then dropped and rebuilt
-/// by a full pass.
+/// invalidates every pair at once; the certificates are then dropped and
+/// everything is rebuilt by a full pass, the intervals into the cached
+/// matrix's own allocation — the cache never holds two matrices.
 #[derive(Debug, Clone)]
 struct CycleCache {
-    /// All pairwise dominance intervals (the dominance matrix and the
-    /// intensity ranking both derive from these).
-    intervals: Vec<Vec<DominanceInterval>>,
+    /// All pairwise dominance intervals, one flat buffer of minima
+    /// updated in place (the non-dominated set and the intensity ranking
+    /// both derive from it).
+    intervals: IntervalMatrix,
     /// Potential-optimality certificates (verdict + optimal weights +
     /// final working set per alternative).
     certs: Vec<PotentialCert>,
@@ -329,25 +331,22 @@ impl AnalysisEngine {
     /// should prefer [`AnalysisEngine::discard_cycle_incremental`].
     pub fn discard_cycle(&self) -> Result<DiscardCycle, LpError> {
         // One blocked sweep yields every pairwise dominance interval; the
-        // dominance matrix and the intensity ranking both derive from it
+        // non-dominated set and the intensity ranking both derive from it
         // (bit-identically to their standalone entry points), so the
         // cycle pays for the pair optimizations once.
         let intervals = intensity::dominance_intervals_ctx(&self.ctx);
-        let matrix = intensity::dominance_from_intervals(&intervals);
+        let (non_dominated, intensity) = intervals.derive(&self.ctx.model().alternatives);
         Ok(DiscardCycle {
-            non_dominated: dominance::non_dominated_from(&matrix),
+            non_dominated,
             potential: self.potentially_optimal()?,
-            intensity: intensity::ranking_from_intervals(
-                &intervals,
-                &self.ctx.model().alternatives,
-            ),
+            intensity,
         })
     }
 
     /// The discard cycle for the interactive what-if loop: after a few
     /// `set_perf` edits, only the touched alternatives' rows/columns of
-    /// the interval matrix are re-optimized
-    /// ([`maut_sense::intensity::dominance_intervals_incremental_ctx`])
+    /// the interval matrix are re-optimized in place
+    /// ([`maut_sense::IntervalMatrix::update`])
     /// and only the touched alternatives plus their dependents are
     /// re-certified ([`maut_sense::potential::certify_incremental_ctx`],
     /// warm-starting each from its own cached basis). Falls back to a
@@ -364,25 +363,21 @@ impl AnalysisEngine {
         let n = self.ctx.model().num_alternatives();
         let incremental = !weights_changed && 2 * dirty.len() < n;
         let cache = match self.cycle_cache.take() {
-            Some(cache) if incremental => {
+            Some(mut cache) if incremental => {
                 self.cycle_stats.incremental += 1;
-                if dirty.is_empty() {
-                    cache
-                } else {
-                    let intervals = intensity::dominance_intervals_incremental_ctx(
-                        &self.ctx,
-                        &cache.intervals,
-                        &dirty,
-                    );
-                    let certs =
+                if !dirty.is_empty() {
+                    cache.intervals.update(&self.ctx, &dirty);
+                    cache.certs =
                         potential::certify_incremental_ctx(&self.ctx, &cache.certs, &dirty)?;
-                    CycleCache { intervals, certs }
                 }
+                cache
             }
-            _ => {
+            stale => {
                 self.cycle_stats.full += 1;
+                let mut intervals = stale.map(|cache| cache.intervals).unwrap_or_default();
+                intervals.recompute(&self.ctx);
                 CycleCache {
-                    intervals: intensity::dominance_intervals_ctx(&self.ctx),
+                    intervals,
                     certs: potential::certify_ctx(&self.ctx)?,
                 }
             }
@@ -394,11 +389,11 @@ impl AnalysisEngine {
 
     /// Assemble the cycle's outward shape from cached intermediates.
     fn derive_cycle(cache: &CycleCache, names: &[String]) -> DiscardCycle {
-        let matrix = intensity::dominance_from_intervals(&cache.intervals);
+        let (non_dominated, intensity) = cache.intervals.derive(names);
         DiscardCycle {
-            non_dominated: dominance::non_dominated_from(&matrix),
+            non_dominated,
             potential: cache.certs.iter().map(|c| c.outcome.clone()).collect(),
-            intensity: intensity::ranking_from_intervals(&cache.intervals, names),
+            intensity,
         }
     }
 
@@ -601,6 +596,32 @@ mod tests {
             incr.monte_carlo.rank_counts(),
             full.monte_carlo.rank_counts()
         );
+    }
+
+    #[test]
+    fn weight_fallback_reuses_the_one_interval_buffer() {
+        let mut e = engine();
+        let n = e.model().num_alternatives();
+        e.discard_cycle_incremental().expect("solver healthy");
+        let buffer = |e: &AnalysisEngine| {
+            let cache = e.cycle_cache.as_ref().expect("cycle cached");
+            let minima = cache.intervals.minima();
+            (minima.as_ptr(), minima.len(), cache.intervals.capacity())
+        };
+        let before = buffer(&e);
+        assert_eq!(before.1, n * n);
+        let u = e.model().tree.find("understandability").expect("exists");
+        e.set_weight(u, Interval::new(0.1, 0.3)).expect("feasible");
+        let cycle = e.discard_cycle_incremental().expect("solver healthy");
+        assert_eq!(
+            e.cycle_stats().full,
+            2,
+            "the weight edit forced a full cycle"
+        );
+        // Exactly one n·n buffer, rewritten in its own allocation.
+        assert_eq!(buffer(&e), before);
+        let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
+        assert_cycles_agree(&cycle, &fresh.discard_cycle_incremental().expect("healthy"));
     }
 
     #[test]

@@ -6,31 +6,21 @@
 //! independent imprecision this reduces to
 //!
 //! ```text
-//! min_{w ∈ W} Σⱼ wⱼ · (uᵢⱼᴸ − uₖⱼᵁ)  ≥  0
+//! min_{w ∈ W} Σⱼ wⱼ · (uᵢⱼᴸ − uₖⱼᵁ)  ≥  0   and   max_{w ∈ W} Σⱼ wⱼ · (uᵢⱼᵁ − uₖⱼᴸ)  >  0
 //! ```
 //!
-//! — the utilities take their adversarial extremes and the weight vector is
-//! optimized over the polytope `W = {low ≤ w ≤ upp, Σw = 1}` (an exact
-//! greedy continuous-knapsack step via [`simplex_lp::WeightPolytope`]).
-//!
-//! ## The blocked sweep
-//!
-//! The inner loop no longer calls the allocating per-pair
-//! `WeightPolytope::minimize`: for each row alternative `i`, blocks of
-//! `PAIR_BLOCK` (16) rivals have their adversarial difference vectors
-//! gathered in one pass over the [`BandMatrixSoA`] columns (each
-//! attribute's `lo`/`hi` column is read with unit stride across the
-//! rival block, mirroring the transposed Monte Carlo kernels), and the
-//! polytope's greedy optimum is then evaluated per rival through a single
-//! reused [`GreedyScratch`] — zero allocation per pair, identical values.
+//! — the utilities take their extremes and the weight vector is optimized
+//! over the polytope `W = {low ≤ w ≤ upp, Σw = 1}` (an exact greedy
+//! continuous-knapsack step via [`simplex_lp::WeightPolytope`]). Both
+//! optima are the endpoints of the pair's dominance interval, so the
+//! verdicts here are read off the one flat
+//! [`IntervalMatrix`](crate::intensity::IntervalMatrix) that the intensity
+//! ranking and the discard cycle share: no separate sweep, the same bits.
 
+use crate::intensity::dominance_intervals_ctx;
 use maut::weights::AttributeWeights;
-use maut::{BandMatrixSoA, EvalContext};
-use simplex_lp::{GreedyScratch, WeightPolytope};
-
-/// Rivals whose difference vectors are gathered per column sweep (the
-/// blocks stay L1-resident: 2 × `PAIR_BLOCK` × n_attrs doubles).
-pub(crate) const PAIR_BLOCK: usize = 16;
+use maut::EvalContext;
+use simplex_lp::WeightPolytope;
 
 /// Pairwise dominance verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,101 +43,32 @@ pub fn weight_polytope_ctx(ctx: &EvalContext) -> WeightPolytope {
     ctx.polytope().clone()
 }
 
-/// Gather one block of adversarial difference rows from the columnar band
-/// matrix: for rivals `k ∈ kb .. kb + block`,
-/// `worst[t·m + j] = lo(i, j) − hi(k, j)` and, when requested,
-/// `best[t·m + j] = hi(i, j) − lo(k, j)`. Reads each attribute column
-/// with unit stride over the rival range. The intensity sweep passes
-/// `best: None` — its favorable extremes come from antisymmetry instead.
-pub(crate) fn gather_diff_block(
-    soa: &BandMatrixSoA,
-    i: usize,
-    kb: usize,
-    block: usize,
-    worst: &mut [f64],
-    best: Option<&mut [f64]>,
-) {
-    let m = soa.n_attributes();
-    match best {
-        Some(best) => {
-            for j in 0..m {
-                let lo_col = soa.lo_col(j);
-                let hi_col = soa.hi_col(j);
-                let lo_i = lo_col[i];
-                let hi_i = hi_col[i];
-                for t in 0..block {
-                    worst[t * m + j] = lo_i - hi_col[kb + t];
-                    best[t * m + j] = hi_i - lo_col[kb + t];
-                }
-            }
-        }
-        None => {
-            for j in 0..m {
-                let lo_col = soa.lo_col(j);
-                let hi_col = soa.hi_col(j);
-                let lo_i = lo_col[i];
-                for t in 0..block {
-                    worst[t * m + j] = lo_i - hi_col[kb + t];
-                }
-            }
-        }
-    }
-}
-
 /// Full pairwise dominance matrix (`matrix[i][k]` = does `i` dominate
 /// `k`) against a shared evaluation context.
 pub fn dominance_matrix_ctx(ctx: &EvalContext) -> Vec<Vec<DominanceOutcome>> {
-    dominance_core(ctx.polytope(), ctx.soa())
-}
-
-pub(crate) fn dominance_core(
-    polytope: &WeightPolytope,
-    soa: &BandMatrixSoA,
-) -> Vec<Vec<DominanceOutcome>> {
-    let n = soa.n_alternatives();
-    let m = soa.n_attributes();
-    let mut scratch = GreedyScratch::default();
-    let mut worst = vec![0.0; PAIR_BLOCK * m];
-    let mut best = vec![0.0; PAIR_BLOCK * m];
-    let mut matrix = vec![vec![DominanceOutcome::None; n]; n];
-    for (i, row) in matrix.iter_mut().enumerate() {
-        let mut kb = 0;
-        while kb < n {
-            let block = PAIR_BLOCK.min(n - kb);
-            gather_diff_block(soa, i, kb, block, &mut worst, Some(&mut best));
-            for t in 0..block {
-                let k = kb + t;
-                if k == i {
-                    continue;
-                }
-                // Adversarial worst case first; most pairs fail here.
-                if polytope.minimize_value(&worst[t * m..(t + 1) * m], &mut scratch) < -1e-9 {
-                    continue;
-                }
-                // Require some advantage in the most favorable direction,
-                // so two identical rows do not "dominate" each other.
-                if polytope.maximize_value(&best[t * m..(t + 1) * m], &mut scratch) > 1e-9 {
-                    row[k] = DominanceOutcome::Dominates;
-                }
-            }
-            kb += block;
-        }
-    }
-    matrix
+    let intervals = dominance_intervals_ctx(ctx);
+    let n = intervals.alternatives();
+    (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|k| {
+                    if i != k && intervals.get(i, k).dominates() {
+                        DominanceOutcome::Dominates
+                    } else {
+                        DominanceOutcome::None
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Indices of non-dominated alternatives (paper: 20 of the 23 MM ontologies
 /// are non-dominated), against a shared evaluation context.
 pub fn non_dominated_ctx(ctx: &EvalContext) -> Vec<usize> {
-    non_dominated_from(&dominance_matrix_ctx(ctx))
-}
-
-/// Indices of non-dominated alternatives given a dominance matrix.
-pub fn non_dominated_from(matrix: &[Vec<DominanceOutcome>]) -> Vec<usize> {
-    let n = matrix.len();
-    (0..n)
-        .filter(|&k| (0..n).all(|i| matrix[i][k] != DominanceOutcome::Dominates))
-        .collect()
+    dominance_intervals_ctx(ctx)
+        .derive(&ctx.model().alternatives)
+        .0
 }
 
 #[cfg(test)]
@@ -252,7 +173,7 @@ mod tests {
     fn blocked_sweep_matches_per_pair_reference() {
         // More alternatives than one rival block, so block boundaries and
         // the i == k skip inside a block are both exercised.
-        let rows: Vec<(String, usize, usize)> = (0..PAIR_BLOCK + 7)
+        let rows: Vec<(String, usize, usize)> = (0..crate::intensity::PAIR_BLOCK + 7)
             .map(|i| (format!("a{i:02}"), i % 4, (i / 2) % 4))
             .collect();
         let refs: Vec<(&str, usize, usize)> =

@@ -14,22 +14,45 @@
 //! average-utility ranking with the imprecision information that min/avg/max
 //! evaluation discards.
 //!
-//! ## The blocked sweep
+//! ## One flat matrix of minima
 //!
-//! Like the dominance matrix, the interval matrix is computed by blocked
-//! column sweeps over the [`maut::BandMatrixSoA`] with one reused greedy
-//! scratch — and it exploits exact antisymmetry: the favorable extreme of
-//! `(i, k)` is the negated adversarial extreme of `(k, i)`
-//! (`d_ik^max = −d_ki^min`, since `uᵢᴴ − uₖᴸ = −(uₖᴸ − uᵢᴴ)` coordinate by
-//! coordinate and IEEE negation is exact), so only the `n·(n−1)` minima
-//! are optimized and the maxima fall out for free — half the greedy work
-//! of the per-pair formulation, bit-identical values.
+//! [`IntervalMatrix`] is the only interval representation: one row-major
+//! `n·n` buffer holding the adversarial minimum `d_ik^min` of every
+//! ordered pair. The favorable extreme is never stored — it is the
+//! negated adversarial extreme of the mirrored pair
+//! (`d_ik^max = −d_ki^min`, since `uᵢᴴ − uₖᴸ = −(uₖᴸ − uᵢᴴ)` coordinate
+//! by coordinate and IEEE negation is exact), so only the `n·(n−1)`
+//! minima are optimized, half the greedy work of the per-pair
+//! formulation, with bit-identical values.
+//!
+//! * **Full sweep** ([`IntervalMatrix::recompute`]): for each row `i`,
+//!   blocks of 16 rivals have their adversarial difference vectors
+//!   gathered in one unit-stride pass over the [`maut::BandMatrixSoA`]
+//!   columns, then the polytope's greedy minimum is taken per rival
+//!   through one reused [`GreedyScratch`]. The sweep writes into the
+//!   matrix's existing allocation.
+//! * **Incremental update** ([`IntervalMatrix::update`]): a pair `(i, k)`
+//!   depends only on band rows `i` and `k`, so after edits to the `dirty`
+//!   alternatives only their rows and columns are re-optimized, in place,
+//!   through the same gather and kernel — bit-identical to a full sweep.
+//! * **Derivation** ([`IntervalMatrix::derive`]): one allocation-free
+//!   pass over the buffer reads off the non-dominated set and every
+//!   intensity. Each intensity sums the rival terms in index order, so
+//!   the discard cycle pays for the pair optimizations once and every
+//!   consumer sees the same bits.
 
-use crate::dominance::{gather_diff_block, PAIR_BLOCK};
 use maut::{BandMatrixSoA, EvalContext};
 use serde::{Deserialize, Serialize};
-use simplex_lp::{GreedyScratch, WeightPolytope};
+use simplex_lp::GreedyScratch;
 use std::collections::BTreeSet;
+
+/// Rivals whose difference vectors are gathered per column sweep (the
+/// block stays L1-resident: `PAIR_BLOCK` × n_attrs doubles).
+pub(crate) const PAIR_BLOCK: usize = 16;
+
+/// Rows per block of the derivation pass (their mirrored minima span two
+/// cache lines of each rival row).
+const DERIVE_BLOCK: usize = 16;
 
 /// The dominance interval of one ordered pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,190 +88,241 @@ pub struct IntensityRank {
     pub rank: usize,
 }
 
-/// All pairwise dominance intervals (`matrix[i][k]`, diagonal zero),
-/// against a shared evaluation context.
-pub fn dominance_intervals_ctx(ctx: &EvalContext) -> Vec<Vec<DominanceInterval>> {
-    intervals_core(ctx.polytope(), ctx.soa())
+/// Every pairwise dominance interval of a model: one flat row-major
+/// buffer of adversarial minima, maxima read through antisymmetry (see
+/// the [module docs](self)).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct IntervalMatrix {
+    /// Number of alternatives.
+    n: usize,
+    /// `mins[i·n + k] = min u(i) − u(k)`; the diagonal is `0.0`.
+    mins: Vec<f64>,
 }
 
-pub(crate) fn intervals_core(
-    polytope: &WeightPolytope,
-    soa: &BandMatrixSoA,
-) -> Vec<Vec<DominanceInterval>> {
-    let n = soa.n_alternatives();
-    let m = soa.n_attributes();
-    let mut scratch = GreedyScratch::default();
-    let mut worst = vec![0.0; PAIR_BLOCK * m];
-    // Adversarial minima for every ordered pair, by blocked column sweep
-    // (no favorable-direction gathers: the maxima fall out of antisymmetry).
-    let mut mins = vec![vec![0.0f64; n]; n];
-    for (i, row) in mins.iter_mut().enumerate() {
-        let mut kb = 0;
-        while kb < n {
-            let block = PAIR_BLOCK.min(n - kb);
-            gather_diff_block(soa, i, kb, block, &mut worst, None);
-            for t in 0..block {
-                let k = kb + t;
-                if k == i {
-                    continue;
-                }
-                row[k] = polytope.minimize_value(&worst[t * m..(t + 1) * m], &mut scratch);
-            }
-            kb += block;
-        }
-    }
-    // Antisymmetry closes the matrix: max(i, k) = −min(k, i), exactly.
-    (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|k| {
-                    if i == k {
-                        DominanceInterval { min: 0.0, max: 0.0 }
-                    } else {
-                        DominanceInterval {
-                            min: mins[i][k],
-                            max: -mins[k][i],
-                        }
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Update an interval matrix after band-row edits to the `dirty`
-/// alternatives: only the dirty rows and columns are re-optimized — a
-/// pair `(i, k)` depends solely on rows `i` and `k` of the band matrix,
-/// so every other entry of `prev` is still exact. Re-optimized entries
-/// run through the same gather + greedy kernel as the full sweep on the
-/// same inputs, so the result is bit-identical to
-/// [`dominance_intervals_ctx`] on the edited context.
-///
-/// Cost: `O(|dirty| · n)` pair optimizations instead of `n · (n − 1)`.
-///
-/// # Panics
-///
-/// When `prev`'s shape does not match the context's alternatives.
-pub fn dominance_intervals_incremental_ctx(
-    ctx: &EvalContext,
-    prev: &[Vec<DominanceInterval>],
-    dirty: &BTreeSet<usize>,
-) -> Vec<Vec<DominanceInterval>> {
-    let soa = ctx.soa();
-    let polytope = ctx.polytope();
-    let n = soa.n_alternatives();
-    let m = soa.n_attributes();
-    assert_eq!(prev.len(), n, "interval matrix does not match the model");
-    let mut intervals = prev.to_vec();
-
-    let mut scratch = GreedyScratch::default();
-    let mut worst = vec![0.0; PAIR_BLOCK * m];
-    // One adversarial minimum per touched ordered pair; antisymmetry
-    // mirrors it into the partner's favorable maximum, exactly as the
-    // full sweep does.
-    let set_min = |intervals: &mut [Vec<DominanceInterval>], i: usize, k: usize, min: f64| {
-        intervals[i][k].min = min;
-        intervals[k][i].max = -min;
-    };
-    for &d in dirty {
-        // Row d: d against every rival, by the blocked column sweep.
-        let mut kb = 0;
-        while kb < n {
-            let block = PAIR_BLOCK.min(n - kb);
-            gather_diff_block(soa, d, kb, block, &mut worst, None);
-            for t in 0..block {
-                let k = kb + t;
-                if k == d {
-                    continue;
-                }
-                let min = polytope.minimize_value(&worst[t * m..(t + 1) * m], &mut scratch);
-                set_min(&mut intervals, d, k, min);
-            }
-            kb += block;
-        }
-        // Column d: every non-dirty rival against d (dirty rows were or
-        // will be fully recomputed above).
-        for i in 0..n {
-            if i == d || dirty.contains(&i) {
-                continue;
-            }
-            gather_diff_block(soa, i, d, 1, &mut worst, None);
-            let min = polytope.minimize_value(&worst[..m], &mut scratch);
-            set_min(&mut intervals, i, d, min);
-        }
-    }
+/// All pairwise dominance intervals, against a shared evaluation context.
+pub fn dominance_intervals_ctx(ctx: &EvalContext) -> IntervalMatrix {
+    let mut intervals = IntervalMatrix::default();
+    intervals.recompute(ctx);
     intervals
 }
 
 /// Rank all alternatives by dominance intensity, against a shared
 /// evaluation context.
 pub fn intensity_ranking_ctx(ctx: &EvalContext) -> Vec<IntensityRank> {
-    ranking_from_intervals(&dominance_intervals_ctx(ctx), &ctx.model().alternatives)
+    dominance_intervals_ctx(ctx)
+        .derive(&ctx.model().alternatives)
+        .1
 }
 
-/// Derive the pairwise dominance matrix from an interval matrix.
-///
-/// The interval endpoints are bit-identical to the optima the dominance
-/// sweep computes and the verdict thresholds are the same, so
-/// `dominance_from_intervals(&dominance_intervals_ctx(ctx))` equals
-/// [`crate::dominance::dominance_matrix_ctx`] exactly — the discard
-/// cycle uses this to pay for the pair optimizations once.
-pub fn dominance_from_intervals(
-    intervals: &[Vec<DominanceInterval>],
-) -> Vec<Vec<crate::dominance::DominanceOutcome>> {
-    use crate::dominance::DominanceOutcome;
-    let n = intervals.len();
-    (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|k| {
-                    if i != k && intervals[i][k].dominates() {
-                        DominanceOutcome::Dominates
-                    } else {
-                        DominanceOutcome::None
+/// Gather one block of adversarial difference rows from the columnar band
+/// matrix: for rivals `k ∈ kb .. kb + block`,
+/// `worst[t·m + j] = lo(i, j) − hi(k, j)`. Reads each attribute column
+/// with unit stride over the rival range.
+pub(crate) fn gather_diff_block(
+    soa: &BandMatrixSoA,
+    i: usize,
+    kb: usize,
+    block: usize,
+    worst: &mut [f64],
+) {
+    let m = soa.n_attributes();
+    for j in 0..m {
+        let lo_i = soa.lo_col(j)[i];
+        let hi_col = soa.hi_col(j);
+        for t in 0..block {
+            worst[t * m + j] = lo_i - hi_col[kb + t];
+        }
+    }
+}
+
+impl IntervalMatrix {
+    /// Number of alternatives the matrix covers.
+    pub fn alternatives(&self) -> usize {
+        self.n
+    }
+
+    /// The row-major buffer of adversarial minima (`n·n`, zero diagonal).
+    pub fn minima(&self) -> &[f64] {
+        &self.mins
+    }
+
+    /// Capacity of the minima buffer — the allocation a
+    /// [`IntervalMatrix::recompute`] reuses.
+    pub fn capacity(&self) -> usize {
+        self.mins.capacity()
+    }
+
+    /// The dominance interval of the ordered pair `(i, k)` (zero on the
+    /// diagonal).
+    pub fn get(&self, i: usize, k: usize) -> DominanceInterval {
+        if i == k {
+            return DominanceInterval { min: 0.0, max: 0.0 };
+        }
+        DominanceInterval {
+            min: self.mins[i * self.n + k],
+            max: -self.mins[k * self.n + i],
+        }
+    }
+
+    /// Re-optimize every pair of the context, reusing this matrix's
+    /// allocation when the alternative count is unchanged.
+    pub fn recompute(&mut self, ctx: &EvalContext) {
+        let n = ctx.soa().n_alternatives();
+        self.n = n;
+        self.mins.resize(n * n, 0.0);
+        let mut scratch = GreedyScratch::default();
+        let mut worst = vec![0.0; PAIR_BLOCK * ctx.soa().n_attributes()];
+        for i in 0..n {
+            self.update_row(ctx, i, &mut scratch, &mut worst);
+        }
+    }
+
+    /// Bring the matrix up to date after band-row edits to the `dirty`
+    /// alternatives: their rows and columns are re-optimized in place
+    /// through the same gather and kernel as the full sweep, so the result
+    /// is bit-identical to [`IntervalMatrix::recompute`] on the edited
+    /// context.
+    ///
+    /// Cost: `O(|dirty| · n)` pair optimizations and writes; nothing else
+    /// is touched, copied or reallocated.
+    ///
+    /// # Panics
+    ///
+    /// When the matrix's shape does not match the context's alternatives.
+    pub fn update(&mut self, ctx: &EvalContext, dirty: &BTreeSet<usize>) {
+        assert_eq!(
+            self.n,
+            ctx.soa().n_alternatives(),
+            "interval matrix does not match the model"
+        );
+        let mut scratch = GreedyScratch::default();
+        let mut worst = vec![0.0; PAIR_BLOCK * ctx.soa().n_attributes()];
+        for &d in dirty {
+            self.update_row(ctx, d, &mut scratch, &mut worst);
+            self.update_column(ctx, d, dirty, &mut scratch, &mut worst);
+        }
+    }
+
+    /// Row `i`: the minimum against every rival, by blocked column sweep.
+    fn update_row(
+        &mut self,
+        ctx: &EvalContext,
+        i: usize,
+        scratch: &mut GreedyScratch,
+        worst: &mut [f64],
+    ) {
+        let (soa, polytope) = (ctx.soa(), ctx.polytope());
+        let (n, m) = (self.n, soa.n_attributes());
+        let row = &mut self.mins[i * n..(i + 1) * n];
+        let mut kb = 0;
+        while kb < n {
+            let block = PAIR_BLOCK.min(n - kb);
+            gather_diff_block(soa, i, kb, block, worst);
+            for (t, min) in row[kb..kb + block].iter_mut().enumerate() {
+                *min = if kb + t == i {
+                    0.0
+                } else {
+                    polytope.minimize_value(&worst[t * m..(t + 1) * m], scratch)
+                };
+            }
+            kb += block;
+        }
+    }
+
+    /// Column `d`: every non-dirty rival against `d` (dirty rows are
+    /// re-swept whole by [`IntervalMatrix::update_row`]).
+    fn update_column(
+        &mut self,
+        ctx: &EvalContext,
+        d: usize,
+        dirty: &BTreeSet<usize>,
+        scratch: &mut GreedyScratch,
+        worst: &mut [f64],
+    ) {
+        let (soa, polytope) = (ctx.soa(), ctx.polytope());
+        let (n, m) = (self.n, soa.n_attributes());
+        for i in 0..n {
+            if i == d || dirty.contains(&i) {
+                continue;
+            }
+            gather_diff_block(soa, i, d, 1, worst);
+            self.mins[i * n + d] = polytope.minimize_value(&worst[..m], scratch);
+        }
+    }
+
+    /// One pass over every ordered pair, deriving both outputs of the
+    /// discard cycle: `intensities[i]`, the expected advantages of `i`
+    /// over its rivals accumulated in rival index order from the start
+    /// value `Iterator::sum` folds from (bit-identical to `.sum()` over the
+    /// rival terms), and `dominated[k]`, whether some rival's interval
+    /// certifies dominance over `k`. Rows go in blocks of 16, so a block's
+    /// mirrored minima `min_ki` sit contiguously in row `k` and neither
+    /// direction of a pair is read with an `n`-stride.
+    ///
+    /// # Panics
+    ///
+    /// When either output does not have one slot per alternative.
+    fn derive_into(&self, intensities: &mut [f64], dominated: &mut [bool]) {
+        let n = self.n;
+        assert_eq!(
+            (intensities.len(), dominated.len()),
+            (n, n),
+            "one slot per alternative"
+        );
+        intensities.fill(std::iter::empty::<f64>().sum());
+        dominated.fill(false);
+        for ib in (0..n).step_by(DERIVE_BLOCK) {
+            let block = DERIVE_BLOCK.min(n - ib);
+            for (k, dominated_k) in dominated.iter_mut().enumerate() {
+                let mirrored = &self.mins[k * n + ib..k * n + ib + block];
+                for (i, &min_ki) in (ib..).zip(mirrored) {
+                    if i != k {
+                        let min = self.mins[i * n + k];
+                        let d = DominanceInterval { min, max: -min_ki };
+                        intensities[i] += d.expected();
+                        *dominated_k |= d.dominates();
                     }
-                })
-                .collect()
-        })
-        .collect()
-}
+                }
+            }
+        }
+    }
 
-/// Rank by dominance intensity from a precomputed interval matrix (the
-/// shape [`intensity_ranking_ctx`] computes internally).
-pub fn ranking_from_intervals(
-    intervals: &[Vec<DominanceInterval>],
-    names: &[String],
-) -> Vec<IntensityRank> {
-    let n = names.len();
-    let mut rows: Vec<IntensityRank> = (0..n)
-        .map(|i| {
-            let intensity: f64 = (0..n)
-                .filter(|&k| k != i)
-                .map(|k| intervals[i][k].expected())
-                .sum();
-            IntensityRank {
+    /// The discard cycle's derived outputs from one allocation-free pass
+    /// over the buffer: the non-dominated alternatives (ascending) and the
+    /// ranking of the alternatives, named by `names` (one per row), by
+    /// dominance intensity (descending; ties break by name).
+    pub fn derive(&self, names: &[String]) -> (Vec<usize>, Vec<IntensityRank>) {
+        let mut intensities = vec![0.0; self.n];
+        let mut dominated = vec![false; self.n];
+        self.derive_into(&mut intensities, &mut dominated);
+        let non_dominated = (0..self.n).filter(|&k| !dominated[k]).collect();
+        let mut ranking: Vec<IntensityRank> = names
+            .iter()
+            .zip(intensities)
+            .enumerate()
+            .map(|(i, (name, intensity))| IntensityRank {
                 alternative: i,
-                name: names[i].clone(),
+                name: name.clone(),
                 intensity,
                 rank: 0,
-            }
-        })
-        .collect();
-    // Finite intensities are guaranteed by model validation; if a NaN
-    // slips through anyway it must neither abort the cycle (as
-    // partial_cmp().expect() did) nor claim rank 1 (where a bare
-    // descending total_cmp would place +NaN) — mapping NaN below every
-    // finite value makes it sink to the bottom deterministically.
-    let key = |x: f64| if x.is_nan() { f64::NEG_INFINITY } else { x };
-    rows.sort_by(|a, b| {
-        key(b.intensity)
-            .total_cmp(&key(a.intensity))
-            .then_with(|| a.name.cmp(&b.name))
-    });
-    for (pos, r) in rows.iter_mut().enumerate() {
-        r.rank = pos + 1;
+            })
+            .collect();
+        // Finite intensities are guaranteed by model validation; if a NaN
+        // slips through anyway it must neither abort the cycle (as
+        // partial_cmp().expect() did) nor claim rank 1 (where a bare
+        // descending total_cmp would place +NaN) — mapping NaN below every
+        // finite value makes it sink to the bottom deterministically.
+        let key = |x: f64| if x.is_nan() { f64::NEG_INFINITY } else { x };
+        ranking.sort_by(|a, b| {
+            key(b.intensity)
+                .total_cmp(&key(a.intensity))
+                .then_with(|| a.name.cmp(&b.name))
+        });
+        for (pos, r) in ranking.iter_mut().enumerate() {
+            r.rank = pos + 1;
+        }
+        (non_dominated, ranking)
     }
-    rows
 }
 
 #[cfg(test)]
@@ -276,18 +350,19 @@ mod tests {
         let m = model(&[("a", 3, 1), ("b", 1, 3)]);
         let d = dominance_intervals_ctx(&ctx(&m));
         // Exact by construction since the max side reuses the mirrored min.
-        assert_eq!(d[0][1].min, -d[1][0].max);
-        assert_eq!(d[0][1].max, -d[1][0].min);
-        assert_eq!(d[0][0], DominanceInterval { min: 0.0, max: 0.0 });
+        assert_eq!(d.get(0, 1).min.to_bits(), (-d.get(1, 0).max).to_bits());
+        assert_eq!(d.get(0, 1).max.to_bits(), (-d.get(1, 0).min).to_bits());
+        assert_eq!(d.get(0, 0), DominanceInterval { min: 0.0, max: 0.0 });
     }
 
     #[test]
     fn pareto_better_has_positive_interval() {
         let m = model(&[("strong", 3, 3), ("weak", 1, 1)]);
         let d = dominance_intervals_ctx(&ctx(&m));
-        assert!(d[0][1].dominates(), "{:?}", d[0][1]);
-        assert!(d[0][1].expected() > 0.0);
-        assert!(!d[1][0].dominates());
+        assert!(d.get(0, 1).dominates(), "{:?}", d.get(0, 1));
+        assert!(d.get(0, 1).expected() > 0.0);
+        assert!(!d.get(1, 0).dominates());
+        assert_eq!(d.derive(&["strong".into(), "weak".into()]).0, vec![0]);
     }
 
     #[test]
@@ -315,7 +390,7 @@ mod tests {
     #[test]
     fn blocked_intervals_match_per_pair_reference() {
         // Wide enough to cross a rival-block boundary.
-        let rows: Vec<(String, usize, usize)> = (0..crate::dominance::PAIR_BLOCK + 5)
+        let rows: Vec<(String, usize, usize)> = (0..PAIR_BLOCK + 5)
             .map(|i| (format!("a{i:02}"), i % 4, (i / 3) % 4))
             .collect();
         let refs: Vec<(&str, usize, usize)> =
@@ -332,43 +407,67 @@ mod tests {
                 }
                 let worst: Vec<f64> = u_lo[i].iter().zip(&u_hi[k]).map(|(a, b)| a - b).collect();
                 let best: Vec<f64> = u_hi[i].iter().zip(&u_lo[k]).map(|(a, b)| a - b).collect();
-                assert_eq!(blocked[i][k].min, polytope.minimize(&worst).0, "({i},{k})");
-                assert_eq!(blocked[i][k].max, polytope.maximize(&best).0, "({i},{k})");
+                assert_eq!(
+                    blocked.get(i, k).min,
+                    polytope.minimize(&worst).0,
+                    "({i},{k})"
+                );
+                assert_eq!(
+                    blocked.get(i, k).max,
+                    polytope.maximize(&best).0,
+                    "({i},{k})"
+                );
             }
         }
+    }
+
+    fn bits(m: &IntervalMatrix) -> Vec<u64> {
+        m.minima().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
     fn incremental_intervals_match_a_full_resweep_bit_for_bit() {
         // Wide enough to cross rival-block boundaries; edit several rows
-        // (including two in the same block) and re-sweep incrementally.
-        let rows: Vec<(String, usize, usize)> = (0..crate::dominance::PAIR_BLOCK + 9)
+        // (including two in the same block) and update in place.
+        let rows: Vec<(String, usize, usize)> = (0..PAIR_BLOCK + 9)
             .map(|i| (format!("a{i:02}"), i % 4, (i / 3) % 4))
             .collect();
         let refs: Vec<(&str, usize, usize)> =
             rows.iter().map(|(n, x, y)| (n.as_str(), *x, *y)).collect();
         let mut c = ctx(&model(&refs));
-        let prev = dominance_intervals_ctx(&c);
+        let mut intervals = dominance_intervals_ctx(&c);
+        let buffer = intervals.minima().as_ptr();
 
         let x = c.model().find_attribute("x").unwrap();
         let y = c.model().find_attribute("y").unwrap();
         c.set_perf(0, x, Perf::level(3)).unwrap();
         c.set_perf(1, y, Perf::level(0)).unwrap();
-        c.set_perf(crate::dominance::PAIR_BLOCK + 2, x, Perf::level(2))
-            .unwrap();
-        let dirty: BTreeSet<usize> = [0, 1, crate::dominance::PAIR_BLOCK + 2]
-            .into_iter()
-            .collect();
+        c.set_perf(PAIR_BLOCK + 2, x, Perf::level(2)).unwrap();
+        let dirty: BTreeSet<usize> = [0, 1, PAIR_BLOCK + 2].into_iter().collect();
 
-        let incremental = dominance_intervals_incremental_ctx(&c, &prev, &dirty);
+        intervals.update(&c, &dirty);
         let full = dominance_intervals_ctx(&c);
-        assert_eq!(incremental, full, "incremental re-sweep must be exact");
-        // And deriving the dominance matrix from the incremental update
-        // equals the standalone dominance sweep.
         assert_eq!(
-            dominance_from_intervals(&incremental),
-            crate::dominance::dominance_matrix_ctx(&c)
+            bits(&intervals),
+            bits(&full),
+            "in-place update must be exact"
         );
+        assert_eq!(intervals.minima().as_ptr(), buffer, "updated in place");
+        // And the verdicts derived from the updated matrix equal the
+        // standalone dominance entry points.
+        let (non_dominated, _) = intervals.derive(&c.model().alternatives);
+        assert_eq!(non_dominated, crate::dominance::non_dominated_ctx(&c));
+        let matrix = crate::dominance::dominance_matrix_ctx(&c);
+        for (i, row) in matrix.iter().enumerate() {
+            for (k, outcome) in row.iter().enumerate() {
+                let dominates = i != k && intervals.get(i, k).dominates();
+                assert_eq!(
+                    *outcome == crate::dominance::DominanceOutcome::Dominates,
+                    dominates,
+                    "({i},{k})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -376,8 +475,9 @@ mod tests {
         let m = model(&[("a", 3, 0), ("b", 0, 3), ("c", 2, 2)]);
         let c = ctx(&m);
         let prev = dominance_intervals_ctx(&c);
-        let same = dominance_intervals_incremental_ctx(&c, &prev, &BTreeSet::new());
-        assert_eq!(same, prev);
+        let mut same = prev.clone();
+        same.update(&c, &BTreeSet::new());
+        assert_eq!(bits(&same), bits(&prev));
     }
 
     #[test]

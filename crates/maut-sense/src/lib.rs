@@ -8,15 +8,16 @@
 //!   the best alternative / the whole ranking (paper Fig 8);
 //! * [`dominance`] — pairwise **dominance** under imprecise weights and
 //!   utilities, via exact optimization over the weight polytope
-//!   (refs \[23\]–\[25\]), computed as blocked sweeps over the columnar
-//!   band matrix;
+//!   (refs \[23\]–\[25\]), read off the shared interval matrix;
 //! * [`potential`] — **potentially optimal** alternatives: those that are
 //!   best for at least one admissible combination of weights and component
 //!   utilities (the paper discards 3 of its 23 candidates this way), solved
 //!   as a warm-started linear-program chain over the context's shared
 //!   [`simplex_lp::SolverWorkspace`];
-//! * [`intensity`] — the **dominance intensity** ranking of ref \[25\],
-//!   sharing the dominance sweep's kernels (and its antisymmetry);
+//! * [`intensity`] — the pairwise **dominance intervals** as one flat
+//!   matrix (a blocked sweep over the columnar band matrix, updated in
+//!   place after edits) and the **dominance intensity** ranking of
+//!   ref \[25\] derived from it;
 //! * [`montecarlo`] — **Monte Carlo simulation** over weights with the three
 //!   GMAA generation classes (random / rank-order / elicited intervals),
 //!   producing the rank statistics and multiple boxplot of Figs 9–10.
@@ -37,12 +38,10 @@ pub mod montecarlo;
 pub mod potential;
 pub mod stability;
 
-pub use dominance::{
-    dominance_matrix_ctx, non_dominated_ctx, non_dominated_from, DominanceOutcome,
-};
+pub use dominance::{dominance_matrix_ctx, non_dominated_ctx, DominanceOutcome};
 pub use intensity::{
-    dominance_from_intervals, dominance_intervals_ctx, dominance_intervals_incremental_ctx,
-    intensity_ranking_ctx, ranking_from_intervals, DominanceInterval, IntensityRank,
+    dominance_intervals_ctx, intensity_ranking_ctx, DominanceInterval, IntensityRank,
+    IntervalMatrix,
 };
 pub use montecarlo::{MonteCarlo, MonteCarloConfig, MonteCarloResult};
 pub use potential::{

@@ -33,9 +33,35 @@ pub struct WeightPolytope {
 /// alternative pair.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyScratch {
-    order: Vec<usize>,
+    /// Pour-order key per coordinate (`CONSUMED` once poured into).
+    keys: Vec<i64>,
     /// The arg-optimum of the last call (index order).
     pub w: Vec<f64>,
+}
+
+/// Key of a coordinate the pour has already filled; real keys are
+/// clamped below it.
+const CONSUMED: i64 = i64::MAX;
+
+/// `f64::total_cmp` as an integer key: `a.total_cmp(&b)` equals
+/// `total_key(a).cmp(&total_key(b))` (the standard library's own mapping).
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// Position and value of the smallest key, the first one on ties
+/// (`CONSUMED` when every key is).
+#[inline(always)]
+fn first_min(keys: &[i64]) -> (usize, i64) {
+    let (mut j, mut key) = (0, CONSUMED);
+    for (i, &k) in keys.iter().enumerate() {
+        if k < key {
+            j = i;
+            key = k;
+        }
+    }
+    (j, key)
 }
 
 impl WeightPolytope {
@@ -112,32 +138,50 @@ impl WeightPolytope {
     }
 
     /// The greedy continuous-knapsack core shared by every optimizer:
-    /// start from the lower bounds and pour the remaining mass into
-    /// coordinates in the order given by `cmp` over the coefficient
-    /// vector (ascending `c` minimizes, descending maximizes). Fills
-    /// `scratch.w` with the arg-optimum and returns `c · w`, allocating
-    /// nothing once the scratch is warm.
-    fn pour(
-        &self,
-        c: &[f64],
-        scratch: &mut GreedyScratch,
-        cmp: impl Fn(f64, f64) -> std::cmp::Ordering,
-    ) -> f64 {
+    /// start from the lower bounds and pour the remaining mass into the
+    /// coordinates in ascending key order, where `flip` is `0` to
+    /// minimize (ascending `c`) and `!0` to maximize (descending `c`).
+    /// Fills `scratch.w` with the arg-optimum and returns `c · w`,
+    /// allocating nothing once the scratch is warm.
+    ///
+    /// # The selection pour
+    ///
+    /// There is no sort. Each coefficient becomes its integer
+    /// [`f64::total_cmp`] key, bitwise-inverted when maximizing (which
+    /// reverses the order exactly and keeps ties tied). Every step pours
+    /// into the smallest unconsumed key, the lowest index on ties, until
+    /// `remaining ≤ EPS`; the scan runs over the two halves of the keys as
+    /// independent compare chains, the lower half winning ties, which keeps
+    /// that rule and halves the scan's latency.
+    ///
+    /// This is the visiting order of a stable sort by `total_cmp`, cut at
+    /// the same point: the same coordinates receive the same
+    /// `min(cap, remaining)` amounts through the same float operations in
+    /// the same order, so `w` and the index-order dot product are
+    /// bit-identical to the sorted pour. The pour usually stops after a few
+    /// coordinates, so an `O(m)` scan per step beats sorting all `m` keys.
+    /// The one NaN bit pattern per direction whose key would equal
+    /// `CONSUMED` is clamped onto its neighbour (another NaN); that can
+    /// only reorder coefficients that already make the value NaN.
+    fn pour(&self, c: &[f64], scratch: &mut GreedyScratch, flip: i64) -> f64 {
         assert_eq!(c.len(), self.dim(), "coefficient length mismatch");
-        let w = &mut scratch.w;
+        let GreedyScratch { keys, w } = scratch;
         w.clear();
         w.extend_from_slice(&self.lower);
         let mut remaining: f64 = 1.0 - w.iter().sum::<f64>();
-        let order = &mut scratch.order;
-        order.clear();
-        order.extend(0..self.dim());
-        order.sort_by(|&a, &b| cmp(c[a], c[b]));
-        for &j in order.iter() {
-            if remaining <= EPS {
+        keys.clear();
+        keys.extend(c.iter().map(|&x| (total_key(x) ^ flip).min(CONSUMED - 1)));
+        let half = keys.len() / 2;
+        while remaining > EPS {
+            let (lower, upper) = keys.split_at(half);
+            let (ja, ka) = first_min(lower);
+            let (jb, kb) = first_min(upper);
+            let (j, key) = if kb < ka { (half + jb, kb) } else { (ja, ka) };
+            if key == CONSUMED {
                 break;
             }
-            let cap = self.upper[j] - self.lower[j];
-            let add = cap.min(remaining);
+            keys[j] = CONSUMED;
+            let add = (self.upper[j] - self.lower[j]).min(remaining);
             w[j] += add;
             remaining -= add;
         }
@@ -149,17 +193,18 @@ impl WeightPolytope {
     /// buffers — the batch-sweep entry point (bit-identical to
     /// [`WeightPolytope::minimize`], without its allocations).
     pub fn minimize_value(&self, c: &[f64], scratch: &mut GreedyScratch) -> f64 {
-        self.pour(c, scratch, |a, b| a.total_cmp(&b))
+        self.pour(c, scratch, 0)
     }
 
     /// Maximum of `c · w` over the polytope, reusing the caller's scratch
     /// buffers (bit-identical to [`WeightPolytope::maximize`]).
     pub fn maximize_value(&self, c: &[f64], scratch: &mut GreedyScratch) -> f64 {
-        // Pouring in descending-c order with a stable sort visits exactly
-        // the coordinates `minimize(-c)` would (negation is exact and
-        // ties keep index order), so the value matches -minimize(-c)
-        // bit for bit.
-        self.pour(c, scratch, |a, b| b.total_cmp(&a))
+        // Inverting every key (`!k`) reverses the total order exactly and
+        // keeps ties tied, so the pour visits the coordinates in
+        // descending-c order, lowest index first among equals — exactly
+        // the coordinates `minimize(-c)` visits (negation is exact), so
+        // the value matches -minimize(-c) bit for bit.
+        self.pour(c, scratch, !0)
     }
 
     /// Minimize `c · w` over the polytope. Exact greedy continuous-knapsack:

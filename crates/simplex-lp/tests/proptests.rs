@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use simplex_lp::{
-    minimize_via_lp, Bound, LinearProgram, Objective, Relation, Status, WeightPolytope,
+    minimize_via_lp, Bound, GreedyScratch, LinearProgram, Objective, Relation, Status,
+    WeightPolytope, EPS,
 };
 
 /// Strategy: a feasible box-on-simplex polytope of dimension 2..=8.
@@ -24,7 +25,122 @@ fn polytope_strategy() -> impl Strategy<Value = WeightPolytope> {
         })
 }
 
+/// Coefficients the tie-heavy strategy draws from: repeated values, both
+/// signed zeros, and a slot (`None`) for a continuous draw.
+const TIE_VALUES: [Option<f64>; 9] = [
+    Some(-1.0),
+    Some(-0.5),
+    Some(-0.0),
+    Some(0.0),
+    Some(0.25),
+    Some(0.5),
+    Some(1.0),
+    Some(2.0),
+    None,
+];
+
+/// Targets for `Σ low`: open slack, and lows within `EPS` of 1 on either
+/// side of the pour's stopping threshold.
+const LOW_SUMS: [f64; 4] = [0.0, 1.0 - 2.0 * EPS, 1.0 - 0.5 * EPS, 1.0 + 0.5 * EPS];
+
+/// Strategy: a polytope of dimension 1..=40 with zero-width, tiny,
+/// partial and full-range boxes, plus eight tie-heavy coefficient vectors.
+fn tie_heavy_case() -> impl Strategy<Value = (WeightPolytope, Vec<Vec<f64>>)> {
+    (1usize..=40)
+        .prop_flat_map(|m| {
+            (
+                proptest::collection::vec((0.0f64..1.0, 0usize..4, 0.0f64..1.0), m),
+                (0usize..LOW_SUMS.len(), 0.0f64..0.9),
+                proptest::collection::vec(
+                    proptest::collection::vec((0usize..TIE_VALUES.len(), -2.0f64..2.0), m),
+                    8,
+                ),
+            )
+        })
+        .prop_filter_map("feasible box", |(boxes, (regime, slack), draws)| {
+            let target = if regime == 0 { slack } else { LOW_SUMS[regime] };
+            let total: f64 = boxes.iter().map(|b| b.0).sum();
+            let lows: Vec<f64> = boxes
+                .iter()
+                .map(|b| b.0 / total.max(1e-12) * target)
+                .collect();
+            let mut upps: Vec<f64> = lows
+                .iter()
+                .zip(&boxes)
+                .map(|(&l, &(_, kind, width))| match kind {
+                    0 => l,
+                    1 => l + 1e-10,
+                    2 => (l + width * (1.0 - l)).min(1.0),
+                    _ => 1.0,
+                })
+                .collect();
+            if upps.iter().sum::<f64>() < 1.0 {
+                let last = upps.len() - 1;
+                upps[last] = 1.0;
+            }
+            let coefficients = draws
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(slot, x)| TIE_VALUES[slot].unwrap_or(x))
+                        .collect()
+                })
+                .collect();
+            Some((WeightPolytope::new(&lows, &upps)?, coefficients))
+        })
+}
+
+/// Independent reference for the greedy kernel: the original pour, which
+/// stable-sorts the coordinates by `total_cmp` (descending when
+/// maximizing) and fills them in that order from the lower bounds.
+fn sorted_pour(p: &WeightPolytope, c: &[f64], maximize: bool) -> (f64, Vec<f64>) {
+    let (lower, upper) = (p.lower(), p.upper());
+    let mut w = lower.to_vec();
+    let mut remaining: f64 = 1.0 - w.iter().sum::<f64>();
+    let mut order: Vec<usize> = (0..c.len()).collect();
+    if maximize {
+        order.sort_by(|&a, &b| c[b].total_cmp(&c[a]));
+    } else {
+        order.sort_by(|&a, &b| c[a].total_cmp(&c[b]));
+    }
+    for j in order {
+        if remaining <= EPS {
+            break;
+        }
+        let add = (upper[j] - lower[j]).min(remaining);
+        w[j] += add;
+        remaining -= add;
+    }
+    (c.iter().zip(&w).map(|(a, b)| a * b).sum(), w)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
+    /// The selection pour reproduces the sorted pour bit for bit — value
+    /// and arg-optimum, minimizing and maximizing — on tie-heavy
+    /// coefficients, signed zeros, zero-width boxes and lows at the
+    /// stopping threshold, through one reused scratch.
+    #[test]
+    fn selection_pour_matches_sorted_pour(case in tie_heavy_case()) {
+        let (p, coefficients) = case;
+        let mut scratch = GreedyScratch::default();
+        for c in &coefficients {
+            for maximize in [false, true] {
+                let (value, w) = sorted_pour(&p, c, maximize);
+                let got = if maximize {
+                    p.maximize_value(c, &mut scratch)
+                } else {
+                    p.minimize_value(c, &mut scratch)
+                };
+                prop_assert_eq!(got.to_bits(), value.to_bits(), "value, max={} c={:?}", maximize, c);
+                prop_assert_eq!(bits(&scratch.w), bits(&w), "argopt, max={} c={:?}", maximize, c);
+            }
+        }
+    }
+
     /// The greedy continuous-knapsack optimum equals the LP optimum.
     #[test]
     fn greedy_matches_lp(p in polytope_strategy(),

@@ -277,10 +277,10 @@ fn check_case(seed: u64, max_alts: usize, max_attrs: usize, trials: usize, with_
     // Dominance intervals: blocked sweep + antisymmetry vs the per-pair
     // min/max reference — bit-identical by the sweep's construction.
     let blocked = intensity::dominance_intervals_ctx(&ctx);
-    for (bi, ri) in blocked.iter().zip(reference_intervals(&ctx)) {
-        for (b, (min, max)) in bi.iter().zip(ri) {
-            assert_eq!(b.min, min, "interval min, seed {seed}");
-            assert_eq!(b.max, max, "interval max, seed {seed}");
+    for (i, ri) in reference_intervals(&ctx).into_iter().enumerate() {
+        for (k, (min, max)) in ri.into_iter().enumerate() {
+            assert_eq!(blocked.get(i, k).min, min, "interval min, seed {seed}");
+            assert_eq!(blocked.get(i, k).max, max, "interval max, seed {seed}");
         }
     }
 
