@@ -115,29 +115,32 @@ impl std::error::Error for StoreError {}
 // variant round-trips through its message (the remote side gets an
 // `io::Error` of kind `Other` carrying the original text).
 impl serde::Serialize for StoreError {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, s: &mut serde::Serializer) {
         let (tag, msg) = match self {
             StoreError::Io(e) => ("Io", e.to_string()),
             StoreError::Encode(e) => ("Encode", e.clone()),
             StoreError::Corrupt(e) => ("Corrupt", e.clone()),
             StoreError::UnknownSession(s) => ("UnknownSession", s.clone()),
         };
-        serde::Value::Map(vec![(tag.to_string(), serde::Value::Str(msg))])
+        s.begin_object();
+        s.field(tag, &msg);
+        s.end_object();
     }
 }
 
+// The first entry of the map names the variant and carries the message;
+// any further entries are read and ignored.
 impl serde::Deserialize for StoreError {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entry = v.as_map().and_then(|m| m.first());
-        let (tag, msg) = match entry {
-            Some((tag, serde::Value::Str(msg))) => (tag.as_str(), msg.clone()),
-            _ => {
-                return Err(serde::Error::custom(format!(
-                    "expected single-entry StoreError map, got {v:?}"
-                )))
-            }
+    fn deserialize(d: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let mut nest = d.begin_object()?;
+        let Some(tag) = d.next_key(&mut nest)? else {
+            return Err(serde::Error::custom("expected a non-empty StoreError map"));
         };
-        match tag {
+        let msg = String::deserialize(d)?;
+        while d.next_key(&mut nest)?.is_some() {
+            d.skip_value()?;
+        }
+        match &*tag {
             "Io" => Ok(StoreError::Io(std::io::Error::other(msg))),
             "Encode" => Ok(StoreError::Encode(msg)),
             "Corrupt" => Ok(StoreError::Corrupt(msg)),

@@ -210,6 +210,46 @@ fn malformed_frame_gets_typed_error_and_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_frame_gets_typed_error_and_connection_survives() {
+    let (server, _manager) = serve(quick_config(), None);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+
+    // 10 000 open brackets (10 KB, far inside the frame cap). As the whole
+    // request they fail on shape at the first byte; under an unknown field
+    // they are skipped as a value, and the decoder's nesting bound answers
+    // instead of overflowing the reader thread's stack.
+    let brackets = "[".repeat(10_000);
+    let hidden = format!("{{\"Api\":{{\"junk\":{brackets}");
+    for (payload, reason) in [(&brackets, "expected enum"), (&hidden, "nesting")] {
+        write_raw_frame(&mut stream, payload.as_bytes());
+        let reply = read_raw_frame(&mut stream).expect("typed reply, not a hangup");
+        let response: WireResponse =
+            serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+        match response {
+            WireResponse::Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains(reason), "unhelpful message: {msg}");
+            }
+            other => panic!("expected Protocol error, got {other:?}"),
+        }
+    }
+
+    // The process and the same connection keep serving.
+    let request = serde_json::to_string(&WireRequest::Api {
+        request: Box::new(Request::CreateSession {
+            session: "s".into(),
+            model: model(),
+        }),
+        deadline_ms: None,
+    })
+    .unwrap();
+    write_raw_frame(&mut stream, request.as_bytes());
+    let reply = read_raw_frame(&mut stream).unwrap();
+    let response: WireResponse =
+        serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+    assert!(matches!(response, WireResponse::Ok(Response::Created)));
+}
+
+#[test]
 fn oversized_frame_gets_typed_error_then_close() {
     let (server, _manager) = serve(quick_config(), None);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();

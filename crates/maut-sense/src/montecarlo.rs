@@ -183,7 +183,8 @@ pub struct MonteCarlo {
 }
 
 impl MonteCarlo {
-    /// A single-threaded simulation; panics on zero trials.
+    /// A simulation with one scoring worker per core (`threads: 0`; see
+    /// [`MonteCarlo::with_threads`]); panics on zero trials.
     pub fn new(config: MonteCarloConfig, trials: usize, seed: u64) -> MonteCarlo {
         assert!(trials > 0, "need at least one trial");
         MonteCarlo {

@@ -192,20 +192,32 @@ pub struct RankAccumulator {
 // transient per-call state and deliberately stays out of the encoding;
 // deserialization rebuilds it empty-sized to the alternative count.
 impl serde::Serialize for RankAccumulator {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("labels".to_string(), self.labels.to_value()),
-            ("counts".to_string(), self.counts.to_value()),
-            ("trials".to_string(), self.trials.to_value()),
-        ])
+    fn serialize(&self, s: &mut serde::Serializer) {
+        s.begin_object();
+        s.field("labels", &self.labels);
+        s.field("counts", &self.counts);
+        s.field("trials", &self.trials);
+        s.end_object();
     }
 }
 
+// Decodes like a derived struct: keys in any order, unknown keys skipped,
+// the first of duplicate keys kept, absent keys read as `null`.
 impl serde::Deserialize for RankAccumulator {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let labels: Vec<String> = serde::Deserialize::from_value(serde::field(v, "labels"))?;
-        let counts: Vec<Vec<usize>> = serde::Deserialize::from_value(serde::field(v, "counts"))?;
-        let trials: usize = serde::Deserialize::from_value(serde::field(v, "trials"))?;
+    fn deserialize(d: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let (mut labels, mut counts, mut trials) = (None, None, None);
+        let mut nest = d.begin_struct()?;
+        while let Some(key) = d.next_key(&mut nest)? {
+            match &*key {
+                "labels" if labels.is_none() => labels = Some(serde::Deserialize::deserialize(d)?),
+                "counts" if counts.is_none() => counts = Some(serde::Deserialize::deserialize(d)?),
+                "trials" if trials.is_none() => trials = Some(serde::Deserialize::deserialize(d)?),
+                _ => d.skip_value()?,
+            }
+        }
+        let labels: Vec<String> = serde::present_or_null(labels)?;
+        let counts: Vec<Vec<usize>> = serde::present_or_null(counts)?;
+        let trials: usize = serde::present_or_null(trials)?;
         if counts.len() != labels.len() || counts.iter().any(|row| row.len() != labels.len()) {
             return Err(serde::Error::custom(
                 "rank accumulator counts must be square in the label count",

@@ -163,14 +163,15 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Directory names never descended into.
+/// Directory names the walk does not descend into on its own (a
+/// `[no_panic]` path inside one is still walked, see [`run`]).
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
-/// Collect every `.rs` file under `root`, workspace-relative with `/`
-/// separators, sorted for deterministic reports.
-fn collect_rs_files(root: &Path) -> Result<Vec<(String, PathBuf)>, RunError> {
+/// Collect every `.rs` file under `start` (a directory inside `root`),
+/// `root`-relative with `/` separators, sorted for deterministic reports.
+fn collect_rs_files(root: &Path, start: &Path) -> Result<Vec<(String, PathBuf)>, RunError> {
     let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
+    let mut stack = vec![start.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let entries = std::fs::read_dir(&dir).map_err(|e| RunError::Walk(dir.clone(), e))?;
         for entry in entries {
@@ -205,8 +206,21 @@ pub fn run(root: &Path) -> Result<Report, RunError> {
         .map_err(|e| RunError::ManifestIo(manifest_path, e))?;
     let manifest = manifest::parse(&manifest_src).map_err(RunError::ManifestSyntax)?;
 
+    // The walk skips vendored code, except where the manifest holds a
+    // vendored directory to the panic-freedom bar explicitly.
+    let mut files = collect_rs_files(root, root)?;
+    for declared in &manifest.no_panic_paths {
+        let dir = root.join(declared);
+        let skipped = Path::new(declared)
+            .components()
+            .any(|c| SKIP_DIRS.contains(&c.as_os_str().to_string_lossy().as_ref()));
+        if skipped && dir.is_dir() {
+            files.extend(collect_rs_files(root, &dir)?);
+        }
+    }
+
     let mut analyses: BTreeMap<String, FileAnalysis> = BTreeMap::new();
-    for (rel, path) in collect_rs_files(root)? {
+    for (rel, path) in files {
         let src = match std::fs::read_to_string(&path) {
             Ok(src) => src,
             Err(_) => continue, // non-UTF-8 or vanished mid-run: skip

@@ -41,6 +41,22 @@ fn bad_no_panic_flags_unwrap_indexing_and_panic() {
 }
 
 #[test]
+fn bad_no_panic_vendor_scans_only_the_declared_vendored_dir() {
+    let report = run("bad/no-panic-vendor");
+    assert_eq!(
+        triples(&report),
+        [(
+            "no-panic-in-serving".into(),
+            "vendor/codec/src/lib.rs".into(),
+            4
+        )],
+        "{:#?}",
+        report.violations
+    );
+    assert_eq!(report.files_scanned, 1);
+}
+
+#[test]
 fn bad_total_float_flags_the_partial_cmp_line() {
     let report = run("bad/total-float");
     assert_eq!(
