@@ -201,23 +201,24 @@ impl serde::Serialize for RankAccumulator {
     }
 }
 
-// Decodes like a derived struct: keys in any order, unknown keys skipped,
-// the first of duplicate keys kept, absent keys read as `null`.
+/// The decoded form of a [`RankAccumulator`]: its derived impl holds the
+/// field rules (any order, unknown keys skipped, first duplicate kept,
+/// absent keys read as `null`), and the conversion adds the squareness
+/// check and the scratch buffer.
+#[derive(Deserialize)]
+struct RankWire {
+    labels: Vec<String>,
+    counts: Vec<Vec<usize>>,
+    trials: usize,
+}
+
 impl serde::Deserialize for RankAccumulator {
     fn deserialize(d: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
-        let (mut labels, mut counts, mut trials) = (None, None, None);
-        let mut nest = d.begin_struct()?;
-        while let Some(key) = d.next_key(&mut nest)? {
-            match &*key {
-                "labels" if labels.is_none() => labels = Some(serde::Deserialize::deserialize(d)?),
-                "counts" if counts.is_none() => counts = Some(serde::Deserialize::deserialize(d)?),
-                "trials" if trials.is_none() => trials = Some(serde::Deserialize::deserialize(d)?),
-                _ => d.skip_value()?,
-            }
-        }
-        let labels: Vec<String> = serde::present_or_null(labels)?;
-        let counts: Vec<Vec<usize>> = serde::present_or_null(counts)?;
-        let trials: usize = serde::present_or_null(trials)?;
+        let RankWire {
+            labels,
+            counts,
+            trials,
+        } = RankWire::deserialize(d)?;
         if counts.len() != labels.len() || counts.iter().any(|row| row.len() != labels.len()) {
             return Err(serde::Error::custom(
                 "rank accumulator counts must be square in the label count",
@@ -638,5 +639,39 @@ mod tests {
     fn accumulator_rejects_wrong_length() {
         let mut acc = RankAccumulator::new(vec!["a".into()]);
         acc.record_scores(&[1.0, 2.0]);
+    }
+
+    fn decode(text: &str) -> Result<RankAccumulator, serde::Error> {
+        RankAccumulator::deserialize(&mut serde::Deserializer::new(text))
+    }
+
+    #[test]
+    fn accumulator_decodes_with_derived_field_rules_and_checks_squareness() {
+        let mut acc = RankAccumulator::new(vec!["a".into(), "b".into()]);
+        acc.record_scores(&[1.0, 2.0]);
+        let mut s = serde::Serializer::compact();
+        acc.serialize(&mut s);
+        let text = s.into_string();
+        assert_eq!(
+            text,
+            r#"{"labels":["a","b"],"counts":[[0,1],[1,0]],"trials":1}"#
+        );
+
+        let back = decode(&text).unwrap();
+        assert_eq!(back.labels(), acc.labels());
+        assert_eq!(back.counts, acc.counts);
+        assert_eq!(back.trials, 1);
+        assert_eq!(back.better.len(), 2);
+
+        // Any order, unknown keys skipped, the first duplicate kept.
+        let shuffled = decode(
+            r#"{"trials":1,"x":{"y":[1]},"counts":[[0,1],[1,0]],"labels":["a","b"],"trials":9}"#,
+        )
+        .unwrap();
+        assert_eq!(shuffled.counts, acc.counts);
+        assert_eq!(shuffled.trials, 1);
+
+        assert!(decode(r#"{"labels":["a","b"],"counts":[[0,1]],"trials":1}"#).is_err());
+        assert!(decode(r#"{"labels":["a"],"counts":[[1]]}"#).is_err());
     }
 }

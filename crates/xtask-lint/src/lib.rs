@@ -164,7 +164,7 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Directory names the walk does not descend into on its own (a
-/// `[no_panic]` path inside one is still walked, see [`run`]).
+/// `[no_panic]` directory or file inside one is still read, see [`run`]).
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
 /// Collect every `.rs` file under `start` (a directory inside `root`),
@@ -184,19 +184,22 @@ fn collect_rs_files(root: &Path, start: &Path) -> Result<Vec<(String, PathBuf)>,
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap_or(&path)
-                    .components()
-                    .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                    .collect::<Vec<_>>()
-                    .join("/");
-                out.push((rel, path));
+                out.push((relative(root, &path), path));
             }
         }
     }
     out.sort();
     Ok(out)
+}
+
+/// `path` relative to `root`, with `/` separators.
+fn relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy().into_owned())
+        .collect::<Vec<_>>()
+        .join("/")
 }
 
 /// Lint the tree rooted at `root` against `<root>/lint.toml`.
@@ -207,15 +210,20 @@ pub fn run(root: &Path) -> Result<Report, RunError> {
     let manifest = manifest::parse(&manifest_src).map_err(RunError::ManifestSyntax)?;
 
     // The walk skips vendored code, except where the manifest holds a
-    // vendored directory to the panic-freedom bar explicitly.
+    // vendored directory or file to the panic-freedom bar explicitly.
     let mut files = collect_rs_files(root, root)?;
     for declared in &manifest.no_panic_paths {
-        let dir = root.join(declared);
+        let path = root.join(declared);
         let skipped = Path::new(declared)
             .components()
             .any(|c| SKIP_DIRS.contains(&c.as_os_str().to_string_lossy().as_ref()));
-        if skipped && dir.is_dir() {
-            files.extend(collect_rs_files(root, &dir)?);
+        if !skipped {
+            continue;
+        }
+        if path.is_dir() {
+            files.extend(collect_rs_files(root, &path)?);
+        } else if path.is_file() {
+            files.push((relative(root, &path), path));
         }
     }
 

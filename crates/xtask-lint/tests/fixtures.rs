@@ -41,19 +41,26 @@ fn bad_no_panic_flags_unwrap_indexing_and_panic() {
 }
 
 #[test]
-fn bad_no_panic_vendor_scans_only_the_declared_vendored_dir() {
+fn bad_no_panic_vendor_scans_only_the_declared_vendored_paths() {
     let report = run("bad/no-panic-vendor");
     assert_eq!(
         triples(&report),
-        [(
-            "no-panic-in-serving".into(),
-            "vendor/codec/src/lib.rs".into(),
-            4
-        )],
+        [
+            (
+                "no-panic-in-serving".into(),
+                "vendor/codec/src/lib.rs".into(),
+                4
+            ),
+            (
+                "no-panic-in-serving".into(),
+                "vendor/single/decode.rs".into(),
+                4
+            ),
+        ],
         "{:#?}",
         report.violations
     );
-    assert_eq!(report.files_scanned, 1);
+    assert_eq!(report.files_scanned, 2);
 }
 
 #[test]
