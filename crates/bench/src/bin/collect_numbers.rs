@@ -15,10 +15,9 @@
 //!   (scalar reference vs batched SoA vs the scoped-thread fan-out) at
 //!   the paper's 10 000 trials;
 //! * **analysis_cycle** — the Section V discard pipeline (dominance →
-//!   potential optimality → intensity): the PR-2-style reference
-//!   (per-pair allocating polytope optimization + one cold two-phase LP
-//!   per alternative) against the blocked sweeps + warm-started LP chain,
-//!   with the warm-start pivot counters (pivots per cold vs warm LP);
+//!   potential optimality → intensity) on the blocked sweeps +
+//!   warm-started LP chain, with the warm-start pivot counters (pivots
+//!   per cold vs warm LP);
 //! * **incremental_whatif** — the interactive loop itself: one `set_perf`
 //!   edit followed by `discard_cycle_incremental` (touched rows/columns
 //!   re-swept, touched alternatives + dependents re-certified from their
@@ -46,9 +45,9 @@
 //!   mean-service-time reported;
 //! * **scaling** — the seeded `gmaa-gen` n × m sweep (Mixed family up to
 //!   750 alternatives plus the adversarial presets): cold vs warm vs
-//!   incremental discard-cycle times, LP warm rates and pivots per solve,
-//!   and the `maut::par` batch fan-out ratio per grid point. Pass
-//!   `--scaling-smoke` to swap in the small fixed-seed CI grid.
+//!   incremental discard-cycle times, LP warm rates and pivots per solve
+//!   per grid point. Pass `--scaling-smoke` to swap in the small
+//!   fixed-seed CI grid.
 //!
 //! Results are printed and written to `BENCH_engine.json` in the current
 //! directory, seeding the repo's performance trajectory.
@@ -57,7 +56,6 @@
 // exemption as the gmaa CLI).
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use bench::legacy;
 use maut::evaluate::evaluate_scope;
 use maut::{EvalContext, Perf};
 use maut_sense::{MonteCarlo, MonteCarloConfig};
@@ -79,85 +77,6 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
     }
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[runs / 2]
-}
-
-/// The PR-2 discard cycle, verbatim: per-pair allocating polytope
-/// optimizations for dominance and the intensity intervals, plus one cold
-/// two-phase LP per alternative for potential optimality — all through
-/// the frozen seed solver in [`bench::legacy`], so the comparison
-/// measures exactly the implementation this PR's blocked sweeps and
-/// warm-started chain replaced.
-fn reference_discard_cycle(ctx: &EvalContext) -> (Vec<usize>, usize, Vec<f64>) {
-    use legacy::{Bound, LinearProgram, Objective, Relation, Status, WeightPolytope};
-    let polytope = WeightPolytope::new(ctx.polytope().lower(), ctx.polytope().upper());
-    let (u_lo, u_hi) = ctx.bound_matrices();
-    let n = u_lo.len();
-    let n_attr = polytope.dim();
-
-    // Dominance, per pair.
-    let mut dominated = vec![false; n];
-    for (i, u_lo_i) in u_lo.iter().enumerate() {
-        for k in 0..n {
-            if i == k {
-                continue;
-            }
-            let worst: Vec<f64> = u_lo_i.iter().zip(&u_hi[k]).map(|(a, b)| a - b).collect();
-            if polytope.minimize(&worst).0 < -1e-9 {
-                continue;
-            }
-            let best: Vec<f64> = u_hi[i].iter().zip(&u_lo[k]).map(|(a, b)| a - b).collect();
-            if polytope.maximize(&best).0 > 1e-9 {
-                dominated[k] = true;
-            }
-        }
-    }
-    let non_dominated: Vec<usize> = (0..n).filter(|&k| !dominated[k]).collect();
-
-    // Potential optimality, one cold LP per alternative.
-    let mut optimal_count = 0usize;
-    for (i, u_hi_i) in u_hi.iter().enumerate() {
-        let mut lp = LinearProgram::new(n_attr + 1, Objective::Maximize);
-        let mut obj = vec![0.0; n_attr + 1];
-        obj[n_attr] = 1.0;
-        lp.set_objective(&obj);
-        for j in 0..n_attr {
-            lp.set_bound(j, Bound::boxed(polytope.lower()[j], polytope.upper()[j]));
-        }
-        lp.set_bound(n_attr, Bound::boxed(-2.0, 2.0));
-        let mut norm = vec![1.0; n_attr + 1];
-        norm[n_attr] = 0.0;
-        lp.add_constraint(&norm, Relation::Eq, 1.0);
-        let mut row = vec![0.0; n_attr + 1];
-        for (k, u_lo_k) in u_lo.iter().enumerate() {
-            if k == i {
-                continue;
-            }
-            for (r, (hi, lo)) in row.iter_mut().zip(u_hi_i.iter().zip(u_lo_k)) {
-                *r = hi - lo;
-            }
-            row[n_attr] = -1.0;
-            lp.add_constraint(&row, Relation::Ge, 0.0);
-        }
-        let sol = lp.solve().expect("well-formed LP");
-        if sol.status == Status::Optimal && sol.objective >= -1e-9 {
-            optimal_count += 1;
-        }
-    }
-
-    // Intensity, per pair (min and max both optimized).
-    let mut intensities = vec![0.0f64; n];
-    for i in 0..n {
-        for k in 0..n {
-            if i == k {
-                continue;
-            }
-            let worst: Vec<f64> = u_lo[i].iter().zip(&u_hi[k]).map(|(a, b)| a - b).collect();
-            let best: Vec<f64> = u_hi[i].iter().zip(&u_lo[k]).map(|(a, b)| a - b).collect();
-            intensities[i] += (polytope.minimize(&worst).0 + polytope.maximize(&best).0) / 2.0;
-        }
-    }
-
-    (non_dominated, optimal_count, intensities)
 }
 
 fn engine_bench(serving: &str) -> String {
@@ -194,24 +113,8 @@ fn engine_bench(serving: &str) -> String {
     });
 
     // Section V discard cycle (dominance + potential + intensity): the
-    // PR-2-style reference vs the blocked sweeps + warm-started LP chain.
-    let cycle_ctx = EvalContext::new(model.clone()).expect("valid");
-    let (nd_ref, po_ref, _) = reference_discard_cycle(&cycle_ctx);
-    let cycle_reference_ns = time_ns(20, || {
-        std::hint::black_box(reference_discard_cycle(&cycle_ctx));
-    });
+    // blocked sweeps + warm-started LP chain.
     let cycle_engine = gmaa::AnalysisEngine::new(model.clone()).expect("valid");
-    let cycle = cycle_engine.discard_cycle().expect("solver healthy");
-    assert_eq!(cycle.non_dominated, nd_ref, "discard cycles must agree");
-    assert_eq!(
-        cycle
-            .potential
-            .iter()
-            .filter(|o| o.potentially_optimal)
-            .count(),
-        po_ref,
-        "potential counts must agree"
-    );
     let cycle_optimized_ns = time_ns(20, || {
         std::hint::black_box(cycle_engine.discard_cycle().expect("solver healthy"));
     });
@@ -289,10 +192,9 @@ fn engine_bench(serving: &str) -> String {
 
     let stats = ctx.stats();
     format!(
-        "{{\n  \"model\": \"paper 23x14\",\n  \"cold_evaluate_ns\": {cold_eval_ns:.0},\n  \"context_evaluate_ns\": {ctx_eval_ns:.0},\n  \"incremental_set_perf_evaluate_ns\": {incr_eval_ns:.0},\n  \"speedup_context_vs_cold\": {:.2},\n  \"speedup_incremental_vs_cold\": {:.2},\n  \"analyze_full_cycle_ns\": {engine_analyze_ns:.0},\n  \"analysis_cycle\": {{\n    \"reference_per_pair_cold_lp_ns\": {cycle_reference_ns:.0},\n    \"blocked_warm_start_ns\": {cycle_optimized_ns:.0},\n    \"speedup\": {:.2},\n    \"lp_solves\": {},\n    \"lp_warm_started\": {},\n    \"lp_pivots_total\": {},\n    \"pivots_per_cold_lp\": {:.2},\n    \"pivots_per_warm_lp\": {:.2}\n  }},\n  \"incremental_whatif\": {{\n    \"full_discard_cycle_ns\": {cycle_optimized_ns:.0},\n    \"incremental_set_perf_discard_cycle_ns\": {incr_cycle_ns:.0},\n    \"speedup_incremental_vs_full\": {:.2},\n    \"lp_recertified_per_edit\": {recertified_per_edit:.2},\n    \"frontrunner_edit_ns\": {incr_front_ns:.0},\n    \"frontrunner_speedup_vs_full\": {:.2},\n    \"frontrunner_lp_recertified\": {recertified_front:.2}\n  }},\n  \"montecarlo_10k_trials\": {{\n    \"scalar_ns\": {mc_scalar_ns:.0},\n    \"soa_batch_ns\": {mc_soa_ns:.0},\n    \"soa_parallel_ns\": {mc_par_ns:.0},\n    \"speedup_soa_batch_vs_scalar\": {:.2},\n    \"speedup_soa_parallel_vs_scalar\": {:.2}\n  }},\n  \"context_stats\": {{\n    \"cold_evaluations\": {},\n    \"incremental_refreshes\": {},\n    \"cache_hits\": {},\n    \"rows_recomputed\": {}\n  }},\n{serving}\n}}\n",
+        "{{\n  \"model\": \"paper 23x14\",\n  \"cold_evaluate_ns\": {cold_eval_ns:.0},\n  \"context_evaluate_ns\": {ctx_eval_ns:.0},\n  \"incremental_set_perf_evaluate_ns\": {incr_eval_ns:.0},\n  \"speedup_context_vs_cold\": {:.2},\n  \"speedup_incremental_vs_cold\": {:.2},\n  \"analyze_full_cycle_ns\": {engine_analyze_ns:.0},\n  \"analysis_cycle\": {{\n    \"blocked_warm_start_ns\": {cycle_optimized_ns:.0},\n    \"lp_solves\": {},\n    \"lp_warm_started\": {},\n    \"lp_pivots_total\": {},\n    \"pivots_per_cold_lp\": {:.2},\n    \"pivots_per_warm_lp\": {:.2}\n  }},\n  \"incremental_whatif\": {{\n    \"full_discard_cycle_ns\": {cycle_optimized_ns:.0},\n    \"incremental_set_perf_discard_cycle_ns\": {incr_cycle_ns:.0},\n    \"speedup_incremental_vs_full\": {:.2},\n    \"lp_recertified_per_edit\": {recertified_per_edit:.2},\n    \"frontrunner_edit_ns\": {incr_front_ns:.0},\n    \"frontrunner_speedup_vs_full\": {:.2},\n    \"frontrunner_lp_recertified\": {recertified_front:.2}\n  }},\n  \"montecarlo_10k_trials\": {{\n    \"scalar_ns\": {mc_scalar_ns:.0},\n    \"soa_batch_ns\": {mc_soa_ns:.0},\n    \"soa_parallel_ns\": {mc_par_ns:.0},\n    \"speedup_soa_batch_vs_scalar\": {:.2},\n    \"speedup_soa_parallel_vs_scalar\": {:.2}\n  }},\n  \"context_stats\": {{\n    \"cold_evaluations\": {},\n    \"incremental_refreshes\": {},\n    \"cache_hits\": {},\n    \"rows_recomputed\": {}\n  }},\n{serving}\n}}\n",
         cold_eval_ns / ctx_eval_ns,
         cold_eval_ns / incr_eval_ns,
-        cycle_reference_ns / cycle_optimized_ns,
         lp.solves,
         lp.warm_solves,
         lp.pivots,
@@ -393,9 +295,9 @@ fn drive_serving(
 /// shard vs 4 shards. With one shard the 12 tenants overflow the
 /// 8-session residency cap, so the LRU churns (each rehydration pays a
 /// serde round trip and a cold first cycle); four shards hold every
-/// tenant resident — and on multi-core hardware additionally process
-/// tenants in parallel (this box is single-core, so the ratio here is
-/// pure residency effect).
+/// tenant resident — and additionally process tenants in parallel, up
+/// to one shard per core (the reference box has 2 cores, so at most two
+/// of the four shards run at once).
 fn serving_bench() -> String {
     const SESSIONS: usize = 12;
     const CAP: usize = 8;
@@ -728,8 +630,8 @@ fn serving_tcp_bench() -> String {
 
 /// One `(family, n, m)` point of the scaling sweep: cold / warm /
 /// incremental discard-cycle timings, the LP warm-start and pivot
-/// counters behind the warm numbers, and the `maut::par` batch fan-out
-/// ratio — all from the point's fixed generator seed.
+/// counters behind the warm numbers — all from the point's fixed
+/// generator seed.
 fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
     use gmaa::AnalysisEngine;
 
@@ -757,7 +659,7 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
     // Warm: repeated full cycles on one primed engine — the context's
     // caches are hot and the LP chain reuses bases, so this is the
     // steady-state cost of re-running the Section V pipeline.
-    let mut engine = AnalysisEngine::new(model.clone()).expect("generated model is valid");
+    let engine = AnalysisEngine::new(model.clone()).expect("generated model is valid");
     engine.discard_cycle().expect("solver healthy");
     let primed = engine.lp_stats();
     let mut warm = Vec::with_capacity(samples);
@@ -810,16 +712,6 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
         cfg.label()
     );
 
-    // `maut::par` fan-out: the whole-batch bounds sweep pinned to one
-    // thread vs one worker per core (identical results by construction).
-    let alts: Vec<usize> = (0..n).collect();
-    let one_ns = time_ns(1, || {
-        engine.batch_evaluate_with(&alts, 1);
-    });
-    let auto_ns = time_ns(1, || {
-        engine.batch_evaluate_with(&alts, 0);
-    });
-
     println!(
         "scaling {}: cold {:.2}ms warm {:.2}ms incr {:.3}ms warm-rate {:.3}",
         cfg.label(),
@@ -829,7 +721,7 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
         warm_warm as f64 / warm_solves.max(1) as f64,
     );
     format!(
-        "      {{\n        \"family\": \"{}\",\n        \"alternatives\": {},\n        \"attributes\": {},\n        \"seed\": {},\n        \"cold_cycle_us\": {:.1},\n        \"warm_cycle_us\": {:.1},\n        \"incremental_cycle_us\": {:.1},\n        \"speedup_warm_vs_cold\": {:.2},\n        \"speedup_incremental_vs_cold\": {:.2},\n        \"lp_solves_per_warm_cycle\": {:.1},\n        \"lp_warm_rate\": {:.3},\n        \"lp_pivots_per_solve\": {:.2},\n        \"par_batch_speedup\": {:.2}\n      }}",
+        "      {{\n        \"family\": \"{}\",\n        \"alternatives\": {},\n        \"attributes\": {},\n        \"seed\": {},\n        \"cold_cycle_us\": {:.1},\n        \"warm_cycle_us\": {:.1},\n        \"incremental_cycle_us\": {:.1},\n        \"speedup_warm_vs_cold\": {:.2},\n        \"speedup_incremental_vs_cold\": {:.2},\n        \"lp_solves_per_warm_cycle\": {:.1},\n        \"lp_warm_rate\": {:.3},\n        \"lp_pivots_per_solve\": {:.2}\n      }}",
         cfg.family.key(),
         n,
         cfg.attributes,
@@ -842,7 +734,6 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
         warm_solves as f64 / samples as f64,
         warm_warm as f64 / warm_solves.max(1) as f64,
         warm_pivots as f64 / warm_solves.max(1) as f64,
-        one_ns / auto_ns,
     )
 }
 

@@ -1,9 +1,5 @@
 //! Shared fixtures for the benchmark harness: the paper's case-study model,
-//! synthetic scaling workloads, variants used by the ablations, and the
-//! frozen PR-2 solver baseline ([`legacy`]) the perf comparisons measure
-//! against.
-
-pub mod legacy;
+//! synthetic scaling workloads, and variants used by the ablations.
 
 use maut::prelude::*;
 use maut::utility::{DiscreteUtility, UtilityFunction};

@@ -405,33 +405,43 @@ impl SessionManager {
     /// aggregation helpers. Each shard reports between requests, so the
     /// counters are always mutually consistent within a shard.
     pub fn stats(&self) -> ServeStats {
-        let mut pending = Vec::with_capacity(self.senders.len());
-        for (index, sender) in self.senders.iter().enumerate() {
-            let (tx, rx) = channel();
-            let sent = sender.send(Command::Stats { reply: tx }).is_ok();
-            pending.push((index, sent, rx));
-        }
+        let pending: Vec<_> = self
+            .senders
+            .iter()
+            .map(|sender| {
+                let (tx, rx) = channel();
+                sender.send(Command::Stats { reply: tx }).ok().map(|()| rx)
+            })
+            .collect();
         let shards = pending
             .into_iter()
-            .map(|(index, sent, rx)| {
-                // A dead worker still has observable admission history:
-                // fall back to the manager's copy of its gate counters.
-                let mut fallback = ShardStats {
+            .zip(self.admission_stats().shards)
+            // A dead worker still has observable admission history:
+            // fall back to the manager's copy of its gate counters.
+            .map(|(rx, fallback)| rx.and_then(|rx| rx.recv().ok()).unwrap_or(fallback))
+            .collect();
+        ServeStats { shards }
+    }
+
+    /// Every shard's admission counters (queue depth, its high water and
+    /// the rejections), read from the manager's gates without asking the
+    /// workers: unlike [`stats`](SessionManager::stats) this answers while
+    /// a worker is busy or blocked. Every other field is zero.
+    pub fn admission_stats(&self) -> ServeStats {
+        let shards = (0..self.senders.len())
+            .map(|index| {
+                let mut stats = ShardStats {
                     shard: index,
                     ..ShardStats::default()
                 };
                 if let Some(gate) = self.gates.get(index) {
-                    fallback.queued_now = gate.queued_now();
-                    fallback.queue_high_water = gate.queue_high_water();
-                    fallback.rejected_overload = gate.rejected_overload();
-                    fallback.rejected_quota = gate.rejected_quota();
-                    fallback.rejected_deadline = gate.rejected_deadline();
+                    stats.queued_now = gate.queued_now();
+                    stats.queue_high_water = gate.queue_high_water();
+                    stats.rejected_overload = gate.rejected_overload();
+                    stats.rejected_quota = gate.rejected_quota();
+                    stats.rejected_deadline = gate.rejected_deadline();
                 }
-                if sent {
-                    rx.recv().unwrap_or(fallback)
-                } else {
-                    fallback
-                }
+                stats
             })
             .collect();
         ServeStats { shards }

@@ -11,6 +11,7 @@ use gmaa_serve::{
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn serve(
     config: ServeConfig,
@@ -307,6 +308,14 @@ fn overload_sheds_through_the_wire() {
                 None,
             )
             .unwrap();
+    }
+    // The shed is the reader thread's, and nothing on the wire shows it
+    // before the parked worker's replies: wait for the gate to count it,
+    // or an opened gate could drain the queue first and admit the third.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while manager.admission_stats().aggregate().rejected_overload < 1 {
+        assert!(Instant::now() < deadline, "third Analyze was never shed");
+        std::thread::sleep(Duration::from_millis(1));
     }
     store.open();
     assert!(matches!(client.recv().unwrap(), Response::Created));

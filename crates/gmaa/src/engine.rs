@@ -248,23 +248,11 @@ impl AnalysisEngine {
     }
 
     /// Score a batch of alternatives over the whole hierarchy without
-    /// touching the evaluation cache. Large batches fan out over scoped
-    /// worker threads against the columnar band matrix (small ones run
-    /// inline); results are identical either way.
+    /// touching the evaluation cache, against the columnar band matrix on
+    /// the calling thread.
     pub fn batch_evaluate(&mut self, alternatives: &[usize]) -> Vec<UtilityBounds> {
         let root = self.ctx.model().tree.root();
         self.ctx.batch_evaluate(root, alternatives)
-    }
-
-    /// [`AnalysisEngine::batch_evaluate`] with an explicit worker count
-    /// (`0` = one per core, `1` = force inline).
-    pub fn batch_evaluate_with(
-        &mut self,
-        alternatives: &[usize],
-        threads: usize,
-    ) -> Vec<UtilityBounds> {
-        let root = self.ctx.model().tree.root();
-        self.ctx.batch_evaluate_with(root, alternatives, threads)
     }
 
     // ------------------------------------------------------------- mutation
@@ -691,18 +679,6 @@ mod tests {
         assert_eq!(batch[0], full.bounds[5]);
         assert_eq!(batch[1], full.bounds[0]);
         assert_eq!(batch[2], full.bounds[22]);
-    }
-
-    #[test]
-    fn parallel_batch_evaluate_agrees_with_inline() {
-        let mut e = engine();
-        // A batch big enough to actually fan out (the inline threshold is
-        // 1024 rows per worker).
-        let alts: Vec<usize> = (0..23).cycle().take(5000).collect();
-        let inline = e.batch_evaluate_with(&alts, 1);
-        for threads in [0, 2, 4] {
-            assert_eq!(e.batch_evaluate_with(&alts, threads), inline);
-        }
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! [`LinearProgram::set_constraint`], and solves through the context's
 //! shared [`simplex_lp::SolverWorkspace`]: alternative `i + 1` warm-starts
 //! from alternative `i`'s optimal basis and typically converges in a
-//! handful of pivots instead of a full two-phase run. Models with many
-//! alternatives fan the solves out over [`maut::par`] scoped workers
-//! (each with a private workspace whose pivot counters are folded back
-//! into the context).
+//! handful of pivots instead of a full two-phase run. The chain runs on
+//! the calling thread at every model size, so a pass leaves each
+//! alternative's optimal basis stashed in the context for the next
+//! re-certification, and its results do not depend on the core count.
 //!
 //! ## Certificates and incremental re-certification
 //!
@@ -67,13 +67,6 @@ use simplex_lp::{
     Bound, LinearProgram, LpError, Objective, Relation, SolverWorkspace, Status, WeightPolytope,
 };
 use std::collections::BTreeSet;
-use std::ops::Range;
-
-/// Minimum LPs per scoped worker for the fan-out to pay for its spawns.
-/// Models below `2 * PAR_MIN_ALTS` alternatives (too few for two such
-/// workers) run inline on the context's shared workspace as one warm
-/// chain.
-const PAR_MIN_ALTS: usize = 32;
 
 /// Rival rows kept in the LP working set. Most rivals are provably slack
 /// at the optimum; constraint generation starts from the strongest
@@ -154,8 +147,8 @@ fn build_skeleton(polytope: &WeightPolytope, rivals: usize) -> LinearProgram {
     lp
 }
 
-/// Per-range scratch for the constraint-generation loop.
-struct RangeScratch {
+/// Per-pass scratch for the constraint-generation loop.
+struct Scratch {
     /// One difference row (`u_hi(i,·) − u_lo(k,·)` then `−1` for `t`).
     row: Vec<f64>,
     /// Current working set and membership mask.
@@ -164,9 +157,9 @@ struct RangeScratch {
     violated: Vec<usize>,
 }
 
-impl RangeScratch {
-    fn new(n: usize, n_attr: usize) -> RangeScratch {
-        let mut s = RangeScratch {
+impl Scratch {
+    fn new(n: usize, n_attr: usize) -> Scratch {
+        let mut s = Scratch {
             row: vec![0.0; n_attr + 1],
             active: Vec::with_capacity(n.saturating_sub(1)),
             in_set: vec![false; n],
@@ -236,7 +229,7 @@ impl<'a> CertifyInputs<'a> {
         i: usize,
         seed: Option<&[usize]>,
         lp: &mut LinearProgram,
-        s: &mut RangeScratch,
+        s: &mut Scratch,
         ws: &mut SolverWorkspace,
     ) -> Result<PotentialCert, LpError> {
         let n_attr = self.polytope.dim();
@@ -338,28 +331,6 @@ impl<'a> CertifyInputs<'a> {
     }
 }
 
-/// Certify the max-slack LPs of `range`'s alternatives over one
-/// workspace. Consecutive solves share the workspace, so alternative
-/// `i + 1` warm-starts from alternative `i`'s basis (same working-set
-/// shape) unless its own stashed basis is available.
-fn certify_range(
-    range: Range<usize>,
-    polytope: &WeightPolytope,
-    lo_rows: &[Vec<f64>],
-    hi_rows: &[Vec<f64>],
-    n: usize,
-    names: &[String],
-    ws: &mut SolverWorkspace,
-) -> Result<Vec<PotentialCert>, LpError> {
-    let inputs = CertifyInputs::new(polytope, lo_rows, hi_rows, n, names);
-    let base_r = WORKING_SET.min(n.saturating_sub(1));
-    let mut lp = build_skeleton(polytope, base_r);
-    let mut s = RangeScratch::new(n, polytope.dim());
-    range
-        .map(|i| inputs.certify_one(i, None, &mut lp, &mut s, ws))
-        .collect()
-}
-
 /// Evaluate potential optimality for every alternative against a shared
 /// evaluation context, warm-starting each alternative's LP from the
 /// previous optimal basis (see the module docs). Fails only on solver
@@ -380,29 +351,19 @@ pub fn certify_ctx(ctx: &EvalContext) -> Result<Vec<PotentialCert>, LpError> {
     // the shape the LP rows need.
     let (lo_rows, hi_rows) = ctx.bound_matrices();
 
-    if n < 2 * PAR_MIN_ALTS {
-        // One warm chain over the context's shared workspace — also
-        // reused (and warm) across repeated analysis calls.
-        let mut ws = ctx.lp_workspace();
-        return certify_range(0..n, polytope, lo_rows, hi_rows, n, names, &mut ws);
-    }
-
-    // Large models: fan out over scoped workers, one warm chain and one
-    // private workspace per worker; fold the pivot counters back into the
-    // context afterwards. (The per-alternative basis stash stays in each
-    // worker's private workspace and is dropped with it — only inline
-    // passes persist bases into the context.)
-    let parts = maut::par::map_ranges(n, 0, PAR_MIN_ALTS, |range| {
-        let mut ws = SolverWorkspace::new();
-        let out = certify_range(range, polytope, lo_rows, hi_rows, n, names, &mut ws);
-        (out, ws.stats())
-    });
-    let mut all = Vec::with_capacity(n);
-    for (out, stats) in parts {
-        ctx.record_lp_stats(&stats);
-        all.extend(out?);
-    }
-    Ok(all)
+    // One warm chain over the context's shared workspace: each
+    // alternative warm-starts from its own stashed basis when an earlier
+    // pass left one, otherwise from the previous alternative's basis
+    // (same working-set shape). Every optimal basis is stashed again for
+    // the next pass or incremental re-certification.
+    let inputs = CertifyInputs::new(polytope, lo_rows, hi_rows, n, names);
+    let base_r = WORKING_SET.min(n.saturating_sub(1));
+    let mut lp = build_skeleton(polytope, base_r);
+    let mut s = Scratch::new(n, polytope.dim());
+    let mut ws = ctx.lp_workspace();
+    (0..n)
+        .map(|i| inputs.certify_one(i, None, &mut lp, &mut s, &mut ws))
+        .collect()
 }
 
 /// Re-certify potential optimality after band-row edits to the `dirty`
@@ -430,7 +391,7 @@ pub fn certify_incremental_ctx(
     let inputs = CertifyInputs::new(polytope, lo_rows, hi_rows, n, names);
     let base_r = WORKING_SET.min(n.saturating_sub(1));
     let mut lp = build_skeleton(polytope, base_r);
-    let mut s = RangeScratch::new(n, polytope.dim());
+    let mut s = Scratch::new(n, polytope.dim());
     let mut ws = ctx.lp_workspace();
 
     (0..n)
@@ -626,40 +587,6 @@ mod tests {
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(a.potentially_optimal, b.potentially_optimal);
             assert!((a.slack - b.slack).abs() < 1e-7, "{a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn large_model_fan_out_matches_sequential_verdicts() {
-        // Enough alternatives to cross the fan-out threshold; compare
-        // against an inline run over a private workspace.
-        let rows: Vec<(String, usize, usize)> = (0..70)
-            .map(|i| (format!("a{i:02}"), i % 4, (i / 4) % 4))
-            .collect();
-        let refs: Vec<(&str, usize, usize)> =
-            rows.iter().map(|(n, x, y)| (n.as_str(), *x, *y)).collect();
-        let m = model(&refs, Interval::new(0.2, 0.8), Interval::new(0.2, 0.8));
-        let c = ctx(&m);
-        let fanned = potentially_optimal_ctx(&c).unwrap();
-        assert!(c.lp_stats().solves >= 70, "workers reported their stats");
-        let (lo_rows, hi_rows) = c.bound_matrices();
-        let mut ws = SolverWorkspace::new();
-        let sequential = certify_range(
-            0..70,
-            c.polytope(),
-            lo_rows,
-            hi_rows,
-            70,
-            &c.model().alternatives,
-            &mut ws,
-        )
-        .unwrap();
-        for (a, b) in fanned.iter().zip(&sequential) {
-            assert_eq!(
-                a.potentially_optimal, b.outcome.potentially_optimal,
-                "{a:?}"
-            );
-            assert!((a.slack - b.outcome.slack).abs() < 1e-7);
         }
     }
 

@@ -73,17 +73,12 @@ use crate::evaluate::{Evaluation, UtilityBounds};
 use crate::hierarchy::ObjectiveId;
 use crate::interval::Interval;
 use crate::model::{AttributeId, DecisionModel};
-use crate::par;
 use crate::perf::Perf;
 use crate::soa::BandMatrixSoA;
 use crate::weights::{self, AttributeWeights};
 use simplex_lp::{SolveStats, SolverWorkspace, WeightPolytope};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Batches below this many rows per would-be worker are scored inline —
-/// spawn overhead beats the win on small fan-outs.
-const PAR_MIN_ROWS: usize = 1024;
 
 /// Counters describing how much work the context has saved; exposed so
 /// tests and benches can assert the incremental paths actually run.
@@ -300,10 +295,8 @@ impl EvalContext {
     }
 
     /// Exclusive access to the shared LP solver workspace (tableau
-    /// buffers + warm-start basis + pivot counters). Analyses lock it
-    /// once per sweep; parallel fan-outs solve with private workspaces
-    /// and fold their counters back via
-    /// [`EvalContext::record_lp_stats`].
+    /// buffers + warm-start basis + per-alternative stashed bases + pivot
+    /// counters). Analyses lock it once per sweep and solve on it inline.
     pub fn lp_workspace(&self) -> MutexGuard<'_, SolverWorkspace> {
         self.lp_workspace
             .lock()
@@ -314,12 +307,6 @@ impl EvalContext {
     /// cold/warm) across every analysis run against this context.
     pub fn lp_stats(&self) -> SolveStats {
         self.lp_workspace().stats()
-    }
-
-    /// Fold counters from a detached solver workspace (a parallel
-    /// worker's) into the shared one.
-    pub fn record_lp_stats(&self, stats: &SolveStats) {
-        self.lp_workspace().merge_stats(stats);
     }
 
     /// Resolved local weight interval per objective node.
@@ -431,32 +418,15 @@ impl EvalContext {
 
     /// Score a batch of alternatives under one scope without touching the
     /// evaluation cache — the bulk path for scoring many candidates at
-    /// once (returns bounds in the order requested). Runs over the
-    /// columnar band matrix with an automatic scoped-thread fan-out for
-    /// large batches; see [`EvalContext::batch_evaluate_with`] to pin the
-    /// worker count.
+    /// once (returns bounds in the order requested), run over the
+    /// columnar band matrix on the calling thread.
     pub fn batch_evaluate(
         &mut self,
         scope: ObjectiveId,
         alternatives: &[usize],
     ) -> Vec<UtilityBounds> {
-        self.batch_evaluate_with(scope, alternatives, 0)
-    }
-
-    /// [`EvalContext::batch_evaluate`] with an explicit worker count:
-    /// `1` forces the inline path, `0` uses one worker per core. Batches
-    /// smaller than the per-worker minimum always run inline, and results
-    /// are identical for every worker count (disjoint output chunks, same
-    /// per-row accumulation order).
-    pub fn batch_evaluate_with(
-        &mut self,
-        scope: ObjectiveId,
-        alternatives: &[usize],
-        threads: usize,
-    ) -> Vec<UtilityBounds> {
         self.cache_scope_weights(scope);
         let weights = &self.scope_weights[&scope.index()];
-        let soa = &self.soa;
         let mut out = vec![
             UtilityBounds {
                 min: 0.0,
@@ -465,9 +435,7 @@ impl EvalContext {
             };
             alternatives.len()
         ];
-        par::for_each_chunk_mut(&mut out, threads, PAR_MIN_ROWS, |offset, chunk| {
-            soa.bounds_into(weights, &alternatives[offset..offset + chunk.len()], chunk);
-        });
+        self.soa.bounds_into(weights, alternatives, &mut out);
         out
     }
 
@@ -732,17 +700,6 @@ mod tests {
         // fresh from the mutated model.
         let fresh = EvalContext::new(ctx.model().clone()).unwrap();
         assert_eq!(ctx.soa(), fresh.soa());
-    }
-
-    #[test]
-    fn batch_evaluate_thread_counts_agree() {
-        let mut ctx = EvalContext::new(model()).unwrap();
-        let root = ctx.model().tree.root();
-        let alts: Vec<usize> = (0..3).cycle().take(50).collect();
-        let one = ctx.batch_evaluate_with(root, &alts, 1);
-        for threads in [0, 2, 7] {
-            assert_eq!(ctx.batch_evaluate_with(root, &alts, threads), one);
-        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! A minimal scoped-thread chunking pool.
+//! A minimal scoped-thread fan-out for the Monte Carlo trial loop.
 //!
-//! The build environment is offline, so instead of `rayon` the batch paths
-//! ([`crate::engine::EvalContext::batch_evaluate`], the Monte Carlo driver
-//! in `maut-sense`) share this ~100-line fan-out built on
-//! [`std::thread::scope`]. Work is split into contiguous chunks, one scoped
-//! thread per chunk; results are deterministic because chunk boundaries
-//! depend only on `(len, threads, min_chunk)` and every reduction the
-//! callers perform (utility bounds written to disjoint slices, integer rank
-//! counts merged) is order-independent.
+//! The build environment is offline, so instead of `rayon` the Monte Carlo
+//! driver in `maut-sense` splits each sample batch over this small pool
+//! built on [`std::thread::scope`]. It is the only caller, and it asks for
+//! threads explicitly (`MonteCarlo::threads`, `AnalysisEngine::mc_threads`,
+//! and `gmaa-serve`'s `SessionConfig::mc_threads`, `1` by default); every
+//! other analysis runs on the calling thread. Work is split into
+//! contiguous ranges, one scoped thread per range; results are
+//! deterministic because range boundaries depend only on
+//! `(len, threads, min_chunk)` and the caller's reduction (integer rank
+//! counts merged in range order) is order-independent.
 //!
 //! `threads == 0` means "one per available core"; small inputs (under
 //! `min_chunk` items per would-be thread) always run inline on the calling
-//! thread, so the single-alternative incremental paths never pay a spawn.
+//! thread.
 
 use std::ops::Range;
 
@@ -47,36 +49,6 @@ fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         start += size;
     }
     out
-}
-
-/// Apply `f` to contiguous chunks of `items` in parallel. `f` receives the
-/// chunk's offset into `items` plus the mutable chunk itself; chunks are
-/// disjoint, so no synchronization is needed. Runs inline when one worker
-/// suffices.
-pub fn for_each_chunk_mut<T, F>(items: &mut [T], threads: usize, min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = items.len();
-    let workers = effective_threads(len, threads, min_chunk);
-    if workers <= 1 {
-        f(0, items);
-        return;
-    }
-    let ranges = split_ranges(len, workers);
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut offset = 0;
-        for range in &ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let start = offset;
-            offset += range.len();
-            let f = &f;
-            scope.spawn(move || f(start, chunk));
-        }
-    });
 }
 
 /// Map `f` over contiguous sub-ranges of `0..len` in parallel and collect
@@ -128,21 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_mut_touches_every_item_once() {
-        for threads in [1, 2, 3, 8] {
-            let mut items = vec![0u32; 97];
-            for_each_chunk_mut(&mut items, threads, 4, |offset, chunk| {
-                for (k, x) in chunk.iter_mut().enumerate() {
-                    *x += (offset + k) as u32 + 1;
-                }
-            });
-            for (k, &x) in items.iter().enumerate() {
-                assert_eq!(x, k as u32 + 1);
-            }
-        }
-    }
-
-    #[test]
     fn map_ranges_results_arrive_in_range_order() {
         for threads in [1, 2, 5] {
             let counter = AtomicUsize::new(0);
@@ -163,8 +120,6 @@ mod tests {
 
     #[test]
     fn zero_length_is_safe() {
-        let mut empty: Vec<u8> = Vec::new();
-        for_each_chunk_mut(&mut empty, 0, 1, |_, _| {});
         let parts = map_ranges(0, 0, 1, |r| r.len());
         assert_eq!(parts, vec![0]);
     }

@@ -52,12 +52,13 @@
 //!   non-singular and primal feasible the whole phase-1 artificial pass
 //!   is skipped and the solve typically finishes in a handful of pivots.
 //!   [`Solution::warm`] reports whether that happened.
-//! * **Correctness is workspace-independent.** A saved basis that turns
+//! * **Verdicts are workspace-independent.** A saved basis that turns
 //!   out singular or infeasible for the new coefficients silently falls
-//!   back to the cold two-phase path; statuses and optima never depend on
-//!   the workspace's history. (Optimal *objective values* agree to
+//!   back to the cold two-phase path; statuses never depend on the
+//!   workspace's history. Optimal *objective values* agree only to
 //!   floating-point roundoff: a warm solve may walk a different pivot
-//!   sequence to the same vertex.)
+//!   sequence to the same vertex, so the low bits of an optimum depend on
+//!   the chain of solves before it.
 //! * **Accounting.** [`SolverWorkspace::stats`] exposes cumulative
 //!   [`SolveStats`] — solves, warm-started solves, and pivots split
 //!   cold/warm — which the engine benches surface as pivots-per-LP.

@@ -14,8 +14,10 @@
 //! potential-optimality loop, consecutive LPs differ only in their
 //! pairwise-difference rows, so this converges in a handful of pivots
 //! instead of a full two-phase run. Any singular or infeasible saved
-//! basis silently falls back to the cold path, so warm starting can
-//! change performance but never results.
+//! basis silently falls back to the cold path, so warm starting never
+//! changes a status or a verdict built on one; the optimum itself agrees
+//! only to floating-point roundoff, and its low bits depend on which
+//! bases the chain passed through before.
 
 use crate::error::LpError;
 use crate::problem::{LinearProgram, Objective, Relation};

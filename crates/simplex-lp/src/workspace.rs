@@ -55,8 +55,8 @@ impl SolveStats {
         self.solves - self.warm_solves
     }
 
-    /// Fold another counter set into this one (used when parallel workers
-    /// solve with private workspaces and report back).
+    /// Fold another counter set into this one (a serving shard sums its
+    /// sessions' counters this way).
     pub fn merge(&mut self, other: &SolveStats) {
         self.solves += other.solves;
         self.warm_solves += other.warm_solves;
@@ -88,7 +88,8 @@ impl SolveStats {
 /// back as the active warm-start candidate. A restored basis is still
 /// only a hint: shape mismatches, singularity and infeasibility all fall
 /// back to the cold path exactly as for the chained basis, so the cache
-/// can never change results.
+/// never changes a status; an optimum reached from it agrees with a cold
+/// solve's to floating-point roundoff, not bit for bit.
 ///
 /// Invariants: entries survive the internal post-solve basis save (only an
 /// explicit stash overwrites a key) and the whole cache is dropped by
@@ -185,12 +186,6 @@ impl SolverWorkspace {
     /// Zero the counters (the saved basis is kept).
     pub fn reset_stats(&mut self) {
         self.stats = SolveStats::default();
-    }
-
-    /// Fold another workspace's counters into this one's (parallel
-    /// workers solve with private workspaces and report back).
-    pub fn merge_stats(&mut self, other: &SolveStats) {
-        self.stats.merge(other);
     }
 
     /// Forget the saved basis *and* every stashed per-key basis: the next

@@ -9,7 +9,7 @@
 //! * SoA batch evaluation vs the scalar per-row evaluation;
 //! * Monte Carlo rank counts and acceptance fractions under a fixed seed,
 //!   scalar loop vs batched SoA vs the scoped-thread fan-out (1 vs N
-//!   workers);
+//!   workers, the one analysis that takes a thread count);
 //! * dominance matrices, dominance intervals and potential-optimality
 //!   verdicts vs in-test row-major reference implementations (the
 //!   pre-blocked-sweep logic, rebuilt here so they share no code with the
@@ -231,12 +231,9 @@ fn check_case(seed: u64, max_alts: usize, max_attrs: usize, trials: usize, with_
     // SoA batch evaluation vs the scalar per-row evaluation.
     let full = ctx.evaluate();
     let order: Vec<usize> = (0..n).rev().collect();
-    for threads in [1usize, 3] {
-        let root = model.tree.root();
-        let batch = ctx.batch_evaluate_with(root, &order, threads);
-        for (pos, &alt) in order.iter().enumerate() {
-            assert_bounds_close(&batch[pos], &full.bounds[alt], "batch vs evaluate");
-        }
+    let batch = ctx.batch_evaluate(model.tree.root(), &order);
+    for (pos, &alt) in order.iter().enumerate() {
+        assert_bounds_close(&batch[pos], &full.bounds[alt], "batch vs evaluate");
     }
 
     // Monte Carlo: scalar loop vs batched SoA vs threaded fan-out.
@@ -550,12 +547,9 @@ fn check_generated_family_case(cfg: &gmaa_gen::GenConfig, with_lp: bool) {
 
     let full = ctx.evaluate();
     let order: Vec<usize> = (0..n).rev().collect();
-    for threads in [1usize, 3] {
-        let root = model.tree.root();
-        let batch = ctx.batch_evaluate_with(root, &order, threads);
-        for (pos, &alt) in order.iter().enumerate() {
-            assert_bounds_close(&batch[pos], &full.bounds[alt], &format!("batch, {label}"));
-        }
+    let batch = ctx.batch_evaluate(model.tree.root(), &order);
+    for (pos, &alt) in order.iter().enumerate() {
+        assert_bounds_close(&batch[pos], &full.bounds[alt], &format!("batch, {label}"));
     }
 
     let reference = reference_dominance(&ctx);
@@ -620,6 +614,24 @@ fn generated_families_incremental_long_histories() {
         for seed in 0..2 {
             check_generated_family_edits(&gmaa_gen::GenConfig::preset(family, 40, 9, seed), 10, 5);
         }
+    }
+}
+
+#[test]
+fn full_certification_keeps_one_basis_per_alternative() {
+    // A full pass runs on the context's own workspace at every model
+    // size, so a large model keeps each alternative's optimal basis for
+    // the next incremental re-certification, and its slacks do not
+    // depend on how many cores the host has.
+    for family in [gmaa_gen::Family::Mixed, gmaa_gen::Family::Flat] {
+        let cfg = gmaa_gen::GenConfig::preset(family, 72, 8, 5);
+        let label = cfg.label();
+        let ctx = EvalContext::new(gmaa_gen::generate(&cfg)).expect("valid");
+        let certs = potential::certify_ctx(&ctx).expect("solver healthy");
+        assert_eq!(certs.len(), 72, "{label}");
+        let ws = ctx.lp_workspace();
+        assert_eq!(ws.basis_cache().len(), 72, "{label}");
+        assert!((0..72).all(|i| ws.basis_cache().contains(i)), "{label}");
     }
 }
 
