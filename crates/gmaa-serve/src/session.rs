@@ -25,6 +25,10 @@ pub struct Session {
     /// session (larger = more recent); the eviction scan takes the
     /// minimum.
     pub(crate) last_used: u64,
+    /// Records in the session's store journal since its last stored
+    /// snapshot; the shard compacts once this reaches the model's cell
+    /// count.
+    pub(crate) journaled: usize,
 }
 
 impl Session {
@@ -38,6 +42,7 @@ impl Session {
             engine,
             config,
             last_used: 0,
+            journaled: 0,
         })
     }
 

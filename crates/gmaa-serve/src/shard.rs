@@ -10,7 +10,9 @@
 //! every applied edit appends a journal record, eviction writes a
 //! compacted snapshot to the store (and the snapshot leaves shard
 //! memory), and a session recovered from a previous process is
-//! rehydrated journal-over-snapshot on its next request.
+//! rehydrated journal-over-snapshot on its next request. A session that
+//! stays resident is compacted once its journal holds as many records as
+//! its model has cells, so no journal outgrows that bound.
 
 use crate::admission::ShardGate;
 use crate::protocol::{Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot};
@@ -382,6 +384,7 @@ impl Shard {
                 let stored = self.store_load(session)?;
                 let mut s = Session::restore(&stored.snapshot, session)?;
                 s.replay(&stored.journal)?;
+                s.journaled = stored.journal.len();
                 self.store_stats.records_replayed += stored.journal.len() as u64;
                 self.store_stats.torn_records_dropped += stored.torn_records;
                 self.store_stats.sessions_recovered += 1;
@@ -461,6 +464,13 @@ impl Shard {
     /// in-memory model already carries the edit); only when both paths
     /// fail does the edit surface a store error — the in-memory session
     /// still holds the edit either way.
+    ///
+    /// The journal is bounded by the model's cell count: a resident
+    /// session is otherwise never compacted, and its journal (in memory
+    /// or on disk, replayed in full on recovery) would grow with every
+    /// edit. Once that many records are pending, the compacted snapshot
+    /// is written. If that write fails it is counted and retried on the
+    /// next append; the edit itself is already journaled.
     fn journal(&mut self, session: &str, record: JournalRecord) -> Result<(), ServeError> {
         let Some(store) = self.store.clone() else {
             return Ok(());
@@ -468,28 +478,44 @@ impl Shard {
         match store.append(session, &record) {
             Ok(()) => {
                 self.store_stats.journal_appends += 1;
+                let due = self.live.get_mut(session).is_some_and(|s| {
+                    s.journaled += 1;
+                    let model = s.engine.model();
+                    s.journaled >= model.num_alternatives() * model.num_attributes()
+                });
+                if due {
+                    // Counted in `store_errors` on failure; see above.
+                    let _ = self.compact(session, store.as_ref());
+                }
                 Ok(())
             }
             Err(_) => {
                 self.store_stats.store_errors += 1;
-                let snap = match self.live.get(session) {
-                    Some(s) => s.snapshot(session)?,
-                    None => {
-                        return Err(ServeError::Internal(format!(
-                            "session {session:?} vanished between edit and journal"
-                        )))
-                    }
-                };
-                match store.put_snapshot(&snap) {
-                    Ok(()) => {
-                        self.store_stats.snapshots_written += 1;
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.store_stats.store_errors += 1;
-                        Err(e.into())
-                    }
-                }
+                self.compact(session, store.as_ref())
+            }
+        }
+    }
+
+    /// Write a live session's compacted snapshot, which truncates its
+    /// journal in the store.
+    fn compact(&mut self, session: &str, store: &dyn SessionStore) -> Result<(), ServeError> {
+        let Some(s) = self.live.get_mut(session) else {
+            return Err(ServeError::Internal(format!(
+                "session {session:?} vanished before compaction"
+            )));
+        };
+        let outcome = s
+            .snapshot(session)
+            .and_then(|snap| store.put_snapshot(&snap).map_err(ServeError::from));
+        match outcome {
+            Ok(()) => {
+                s.journaled = 0;
+                self.store_stats.snapshots_written += 1;
+                Ok(())
+            }
+            Err(e) => {
+                self.store_stats.store_errors += 1;
+                Err(e)
             }
         }
     }
@@ -535,19 +561,9 @@ impl Shard {
         let mut flushed = 0u64;
         let mut first_err: Option<ServeError> = None;
         for name in names {
-            let Some(s) = self.live.get(&name) else {
-                continue;
-            };
-            let outcome = s
-                .snapshot(&name)
-                .and_then(|snap| store.put_snapshot(&snap).map_err(ServeError::from));
-            match outcome {
-                Ok(()) => {
-                    self.store_stats.snapshots_written += 1;
-                    flushed += 1;
-                }
+            match self.compact(&name, store.as_ref()) {
+                Ok(()) => flushed += 1,
                 Err(e) => {
-                    self.store_stats.store_errors += 1;
                     first_err.get_or_insert(e);
                 }
             }

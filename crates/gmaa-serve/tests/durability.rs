@@ -7,8 +7,8 @@
 //! shortest-round-trip encoding the journal depends on.
 
 use gmaa_serve::{
-    FileStore, FsyncPolicy, JournalRecord, Request, Response, ServeConfig, SessionConfig,
-    SessionManager, SessionSnapshot, SessionStore,
+    FileStore, FsyncPolicy, JournalRecord, MemoryStore, Request, Response, ServeConfig,
+    SessionConfig, SessionManager, SessionSnapshot, SessionStore,
 };
 use maut::{DecisionModel, Interval, Perf};
 use std::path::PathBuf;
@@ -173,6 +173,45 @@ fn crash_recovery_replays_random_edit_histories_bit_exactly() {
         assert_eq!(stats.store.store_errors, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A session that stays resident is never evicted or drained, so only the
+/// journal bound compacts it: `n·m + 1` edits (`n·m` is the model's cell
+/// count) leave at most `n·m` records in the store, and a crash after
+/// them still recovers bit-identically.
+#[test]
+fn resident_session_journal_is_bounded_by_the_cell_count() {
+    let cells = paper().num_alternatives() * paper().num_attributes();
+    let store = Arc::new(MemoryStore::new());
+    let config = ServeConfig {
+        shards: 1,
+        session: quick(),
+        ..ServeConfig::default()
+    };
+    let reference = SessionManager::new(config);
+    {
+        let crashing = SessionManager::with_store(config, store.clone()).unwrap();
+        create(&crashing, "t");
+        create(&reference, "t");
+        for edit in edit_history(7, cells + 1, "t") {
+            crashing.request(edit.clone()).expect("edit applies");
+            reference.request(edit).expect("edit applies");
+        }
+        let stats = crashing.stats().aggregate();
+        assert_eq!(stats.evictions, 0, "the session stayed resident");
+        assert_eq!(stats.store.journal_appends, cells as u64 + 1);
+        assert_eq!(stats.store.snapshots_written, 2, "create + one compaction");
+        assert_eq!(stats.store.store_errors, 0);
+        let stored = store.load("t").unwrap().expect("stored");
+        assert!(
+            stored.journal.len() <= cells,
+            "{} journal records for {cells} cells",
+            stored.journal.len()
+        );
+    } // crash: dropped without drain
+
+    let recovered = SessionManager::with_store(config, store).unwrap();
+    assert_bit_identical(&analyze(&recovered, "t"), &analyze(&reference, "t"));
 }
 
 /// Kill mid-journal-append: the trailing record is torn in half. Recovery

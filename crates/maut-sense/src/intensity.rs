@@ -399,7 +399,7 @@ mod tests {
         let c = ctx(&m);
         let blocked = dominance_intervals_ctx(&c);
         let polytope = c.polytope();
-        let (u_lo, u_hi) = c.bound_matrices();
+        let (u_lo, u_hi) = c.model().bound_utility_matrices();
         for i in 0..refs.len() {
             for k in 0..refs.len() {
                 if i == k {

@@ -302,14 +302,16 @@ impl MonteCarlo {
     }
 
     /// The scalar reference path: one weight vector drawn and scored at a
-    /// time against the row-major midpoint matrix. Kept (and exercised by
-    /// the differential suite) as the ground truth the batched path must
+    /// time against a row-major midpoint matrix rebuilt from the model
+    /// ([`maut::DecisionModel::avg_utility_matrix`]), so it shares no
+    /// storage with the context's columns. Kept (and exercised by the
+    /// differential suite) as the ground truth the batched path must
     /// reproduce; prefer [`MonteCarlo::run_ctx`] everywhere else.
     pub fn run_scalar_ctx(&self, ctx: &EvalContext) -> MonteCarloResult {
         self.run_core(
             ctx.model().num_attributes(),
             ctx.weights(),
-            ctx.avg_matrix(),
+            &ctx.model().avg_utility_matrix(),
             &ctx.model().alternatives,
         )
     }

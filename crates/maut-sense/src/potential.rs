@@ -61,7 +61,7 @@
 //! cap, indicating numerical corruption) — that is propagated as a typed
 //! [`LpError`] instead of aborting the analysis cycle.
 
-use maut::EvalContext;
+use maut::{BandMatrixSoA, EvalContext};
 use serde::{Deserialize, Serialize};
 use simplex_lp::{
     Bound, LinearProgram, LpError, Objective, Relation, SolverWorkspace, Status, WeightPolytope,
@@ -155,6 +155,8 @@ struct Scratch {
     active: Vec<usize>,
     in_set: Vec<bool>,
     violated: Vec<usize>,
+    /// Difference-row value `Σⱼ (u_hi(i,j) − u_lo(k,j))·wⱼ` per rival `k`.
+    dots: Vec<f64>,
 }
 
 impl Scratch {
@@ -164,9 +166,56 @@ impl Scratch {
             active: Vec::with_capacity(n.saturating_sub(1)),
             in_set: vec![false; n],
             violated: Vec::new(),
+            dots: vec![0.0; n],
         };
         s.row[n_attr] = -1.0;
         s
+    }
+
+    /// Collect into `violated`, ascending, every rival outside the working
+    /// set whose difference row against `i` falls more than
+    /// `VIOLATION_EPS` below `t` at `w`. The rows are swept one column at
+    /// a time; each rival's value sums `(hi − lo)·wⱼ` in ascending `j` from
+    /// −0.0, the start value of `Iterator::sum`, so it equals the row dot
+    /// product bit for bit (`hi·w − lo·w` would round differently).
+    fn collect_violated(&mut self, soa: &BandMatrixSoA, i: usize, w: &[f64], t: f64) {
+        self.dots.fill(-0.0);
+        for (j, &wj) in w.iter().enumerate() {
+            let hi = soa.hi(i, j);
+            for (dot, &lo) in self.dots.iter_mut().zip(soa.lo_col(j)) {
+                *dot += (hi - lo) * wj;
+            }
+        }
+        self.violated.clear();
+        for (k, &dot) in self.dots.iter().enumerate() {
+            if k != i && !self.in_set[k] && dot < t - VIOLATION_EPS {
+                self.violated.push(k);
+            }
+        }
+    }
+
+    /// Whether any `edited` rival's difference row against `i` falls more
+    /// than `VIOLATION_EPS` below `t` at `w`: the sweep of
+    /// [`Scratch::collect_violated`] over the edited rivals only, with the
+    /// same per-rival summation order.
+    fn edited_rival_violated(
+        &mut self,
+        soa: &BandMatrixSoA,
+        i: usize,
+        w: &[f64],
+        t: f64,
+        edited: &[usize],
+    ) -> bool {
+        for &k in edited {
+            self.dots[k] = -0.0;
+        }
+        for (j, &wj) in w.iter().enumerate() {
+            let (hi, lo) = (soa.hi(i, j), soa.lo_col(j));
+            for &k in edited {
+                self.dots[k] += (hi - lo[k]) * wj;
+            }
+        }
+        edited.iter().any(|&k| self.dots[k] < t - VIOLATION_EPS)
     }
 }
 
@@ -174,9 +223,7 @@ impl Scratch {
 /// working-set seeding order.
 struct CertifyInputs<'a> {
     polytope: &'a WeightPolytope,
-    lo_rows: &'a [Vec<f64>],
-    hi_rows: &'a [Vec<f64>],
-    n: usize,
+    soa: &'a BandMatrixSoA,
     names: &'a [String],
     /// Seeding order, shared by every alternative: the binding rivals are
     /// the *strong* ones, and scoring rival `k` against `i` at the
@@ -188,19 +235,17 @@ struct CertifyInputs<'a> {
 }
 
 impl<'a> CertifyInputs<'a> {
-    fn new(
-        polytope: &'a WeightPolytope,
-        lo_rows: &'a [Vec<f64>],
-        hi_rows: &'a [Vec<f64>],
-        n: usize,
-        names: &'a [String],
-    ) -> CertifyInputs<'a> {
-        let centroid = polytope.centroid();
-        let strength: Vec<f64> = lo_rows
-            .iter()
-            .map(|lo_k| lo_k.iter().zip(&centroid).map(|(&lo, &w)| lo * w).sum())
-            .collect();
-        let mut order: Vec<usize> = (0..n).collect();
+    fn new(ctx: &'a EvalContext) -> CertifyInputs<'a> {
+        let (polytope, soa) = (ctx.polytope(), ctx.soa());
+        // Column sweep; each strength sums in ascending `j` from −0.0, as
+        // `Iterator::sum` does, so ties order exactly as a row sum's.
+        let mut strength = vec![-0.0; soa.n_alternatives()];
+        for (j, &w) in polytope.centroid().iter().enumerate() {
+            for (st, &lo) in strength.iter_mut().zip(soa.lo_col(j)) {
+                *st += lo * w;
+            }
+        }
+        let mut order: Vec<usize> = (0..soa.n_alternatives()).collect();
         // total_cmp, not partial_cmp().expect(): the seeding order is a pure
         // heuristic (any order gives the same certified optimum), and a NaN
         // strength — impossible for validated models — must not be the line
@@ -209,10 +254,8 @@ impl<'a> CertifyInputs<'a> {
         order.sort_unstable_by(|&a, &b| strength[b].total_cmp(&strength[a]));
         CertifyInputs {
             polytope,
-            lo_rows,
-            hi_rows,
-            n,
-            names,
+            soa,
+            names: &ctx.model().alternatives,
             order,
         }
     }
@@ -233,12 +276,11 @@ impl<'a> CertifyInputs<'a> {
         ws: &mut SolverWorkspace,
     ) -> Result<PotentialCert, LpError> {
         let n_attr = self.polytope.dim();
-        let base_r = WORKING_SET.min(self.n.saturating_sub(1));
-        let hi_i = &self.hi_rows[i];
-        let lo_rows = self.lo_rows;
+        let soa = self.soa;
+        let base_r = WORKING_SET.min(soa.n_alternatives().saturating_sub(1));
         let diff_into = |row: &mut [f64], k: usize| {
-            for ((r, &hi), &lo) in row[..n_attr].iter_mut().zip(hi_i).zip(&lo_rows[k]) {
-                *r = hi - lo;
+            for (j, r) in row[..n_attr].iter_mut().enumerate() {
+                *r = soa.hi(i, j) - soa.lo(k, j);
             }
         };
 
@@ -282,21 +324,7 @@ impl<'a> CertifyInputs<'a> {
             let t = sol.objective;
             let w = &sol.x[..n_attr];
             // Certify against the excluded rivals.
-            s.violated.clear();
-            for (k, lo_k) in lo_rows.iter().enumerate() {
-                if k == i || s.in_set[k] {
-                    continue;
-                }
-                let dot: f64 = hi_i
-                    .iter()
-                    .zip(lo_k)
-                    .zip(w)
-                    .map(|((&hi, &lo), &wj)| (hi - lo) * wj)
-                    .sum();
-                if dot < t - VIOLATION_EPS {
-                    s.violated.push(k);
-                }
-            }
+            s.collect_violated(soa, i, w, t);
             if s.violated.is_empty() {
                 break (t >= -1e-9, t, w.to_vec());
             }
@@ -345,18 +373,14 @@ pub fn potentially_optimal_ctx(ctx: &EvalContext) -> Result<Vec<PotentialOutcome
 /// [`certify_incremental_ctx`] consumes.
 pub fn certify_ctx(ctx: &EvalContext) -> Result<Vec<PotentialCert>, LpError> {
     let polytope = ctx.polytope();
-    let names = &ctx.model().alternatives;
     let n = ctx.soa().n_alternatives();
-    // The context already caches the bound matrices row-major — exactly
-    // the shape the LP rows need.
-    let (lo_rows, hi_rows) = ctx.bound_matrices();
 
     // One warm chain over the context's shared workspace: each
     // alternative warm-starts from its own stashed basis when an earlier
     // pass left one, otherwise from the previous alternative's basis
     // (same working-set shape). Every optimal basis is stashed again for
     // the next pass or incremental re-certification.
-    let inputs = CertifyInputs::new(polytope, lo_rows, hi_rows, n, names);
+    let inputs = CertifyInputs::new(ctx);
     let base_r = WORKING_SET.min(n.saturating_sub(1));
     let mut lp = build_skeleton(polytope, base_r);
     let mut s = Scratch::new(n, polytope.dim());
@@ -382,38 +406,27 @@ pub fn certify_incremental_ctx(
     prev: &[PotentialCert],
     dirty: &BTreeSet<usize>,
 ) -> Result<Vec<PotentialCert>, LpError> {
-    let polytope = ctx.polytope();
-    let names = &ctx.model().alternatives;
-    let n = ctx.soa().n_alternatives();
+    let (polytope, soa) = (ctx.polytope(), ctx.soa());
+    let n = soa.n_alternatives();
     assert_eq!(prev.len(), n, "certificate set does not match the model");
-    let (lo_rows, hi_rows) = ctx.bound_matrices();
 
-    let inputs = CertifyInputs::new(polytope, lo_rows, hi_rows, n, names);
+    let inputs = CertifyInputs::new(ctx);
     let base_r = WORKING_SET.min(n.saturating_sub(1));
     let mut lp = build_skeleton(polytope, base_r);
     let mut s = Scratch::new(n, polytope.dim());
     let mut ws = ctx.lp_workspace();
+    let edited: Vec<usize> = dirty.iter().copied().collect();
 
     (0..n)
         .map(|i| {
             let cert = &prev[i];
+            // An edited rival outside the working set (`i` itself is
+            // dirty-checked first): keep the certificate only if its new
+            // row is still satisfied at the stored optimum.
             let must_resolve = dirty.contains(&i)
                 || cert.weights.is_empty()
                 || cert.working_set.iter().any(|k| dirty.contains(k))
-                || dirty.iter().any(|&d| {
-                    // An edited rival outside the working set: keep the
-                    // certificate only if its new row is still satisfied
-                    // at the stored optimum.
-                    d != i && {
-                        let dot: f64 = hi_rows[i]
-                            .iter()
-                            .zip(&lo_rows[d])
-                            .zip(&cert.weights)
-                            .map(|((&hi, &lo), &wj)| (hi - lo) * wj)
-                            .sum();
-                        dot < cert.outcome.slack - VIOLATION_EPS
-                    }
-                });
+                || s.edited_rival_violated(soa, i, &cert.weights, cert.outcome.slack, &edited);
             if must_resolve {
                 inputs.certify_one(i, Some(&cert.working_set), &mut lp, &mut s, &mut ws)
             } else {

@@ -18,7 +18,7 @@
 //! reference ranking comes from one probe at the elicited weight, so
 //! exact ties at `current` break the way the ranking does.
 
-use maut::{EvalContext, ObjectiveId, ObjectiveTree, ORDERING_EPS};
+use maut::{BandMatrixSoA, EvalContext, ObjectiveId, ObjectiveTree, ORDERING_EPS};
 use serde::{Deserialize, Serialize};
 
 /// What must stay unchanged inside the stability interval.
@@ -116,7 +116,7 @@ impl Workspace {
         // Reference ranking: one probe at the elicited weight.
         group_weights(tree, base, target, current, &mut self.node_a);
         self.node_b.fill(0.0);
-        self.affine_scores(ctx.avg_matrix());
+        self.affine_scores(ctx.soa());
         rank_into(&self.alpha, &mut self.order);
 
         // Closed form: a node's weight is `v(0) + (v(1) − v(0))·w`.
@@ -125,7 +125,7 @@ impl Workspace {
         for (b, a) in self.node_b.iter_mut().zip(&self.node_a) {
             *b -= a;
         }
-        self.affine_scores(ctx.avg_matrix());
+        self.affine_scores(ctx.soa());
 
         // `i` must stay at least level with `j`: `c + d·w ≥ 0`. With
         // `d = 0` that holds everywhere, as the reference ranks `i` first.
@@ -160,8 +160,11 @@ impl Workspace {
 
     /// Attribute weights as path products of the node weights (at most
     /// one node per path varies with `w`, so each stays affine), then
-    /// every alternative's score.
-    fn affine_scores(&mut self, avg_matrix: &[Vec<f64>]) {
+    /// every alternative's score, swept one midpoint column at a time.
+    /// Each score sums its attributes in ascending order from −0.0, the
+    /// start value of `Iterator::sum`, so it matches a row-wise `.sum()`
+    /// bit for bit (a +0.0 start would flip signed zeros).
+    fn affine_scores(&mut self, soa: &BandMatrixSoA) {
         for &(attr, start, end) in &self.leaves {
             let (mut a, mut b) = (1.0, 0.0);
             for &n in &self.path_nodes[start..end] {
@@ -171,9 +174,14 @@ impl Workspace {
             self.flat_a[attr] = a;
             self.flat_b[attr] = b;
         }
-        for ((row, alpha), beta) in avg_matrix.iter().zip(&mut self.alpha).zip(&mut self.beta) {
-            *alpha = row.iter().zip(&self.flat_a).map(|(u, w)| u * w).sum();
-            *beta = row.iter().zip(&self.flat_b).map(|(u, w)| u * w).sum();
+        self.alpha.fill(-0.0);
+        self.beta.fill(-0.0);
+        for (j, (&a, &b)) in self.flat_a.iter().zip(&self.flat_b).enumerate() {
+            let scores = self.alpha.iter_mut().zip(&mut self.beta);
+            for ((alpha, beta), &u) in scores.zip(soa.mid_col(j)) {
+                *alpha += u * a;
+                *beta += u * b;
+            }
         }
     }
 }

@@ -7,9 +7,9 @@
 //! the same derived data:
 //!
 //! * the **component-utility band matrix** — one interval per
-//!   alternative × attribute cell (and its lower / midpoint / upper
-//!   projections, consumed by dominance, ranking and Monte Carlo
-//!   respectively);
+//!   alternative × attribute cell, held once as the columnar
+//!   [`BandMatrixSoA`] (lower / midpoint / upper projections, consumed by
+//!   dominance, ranking and Monte Carlo respectively);
 //! * the **multiplied-down weight bounds** per attribute (the Fig 5
 //!   triples), per evaluation scope;
 //! * the **objective-subtree index** — which attributes sit under which
@@ -101,17 +101,11 @@ pub struct EngineStats {
 pub struct EvalContext {
     model: DecisionModel,
     /// Component-utility band matrix, stored as its three projections
-    /// (the shapes the analyses actually consume): lower bounds
-    /// (dominance / potential optimality), midpoints (ranking / Monte
-    /// Carlo), upper bounds. [`EvalContext::band`] reassembles the
-    /// interval of a single cell on demand.
-    band_lo: Vec<Vec<f64>>,
-    band_mid: Vec<Vec<f64>>,
-    band_hi: Vec<Vec<f64>>,
-    /// Columnar (per-attribute contiguous) view of the same three
-    /// projections, kept in sync by [`EvalContext::set_perf`] — the batch
-    /// analyses (Monte Carlo, dominance, potential optimality,
-    /// `batch_evaluate`) read this instead of the row-major matrices.
+    /// (the shapes the analyses actually consume) in per-attribute
+    /// contiguous columns: lower bounds (dominance / potential
+    /// optimality), midpoints (ranking / Monte Carlo), upper bounds. The
+    /// only copy: [`EvalContext::set_perf`] patches its cell here and
+    /// every evaluation and analysis reads it.
     soa: BandMatrixSoA,
     /// Resolved local weight interval per objective node.
     local: Vec<Interval>,
@@ -158,9 +152,6 @@ impl Clone for EvalContext {
     fn clone(&self) -> EvalContext {
         EvalContext {
             model: self.model.clone(),
-            band_lo: self.band_lo.clone(),
-            band_mid: self.band_mid.clone(),
-            band_hi: self.band_hi.clone(),
             soa: self.soa.clone(),
             local: self.local.clone(),
             node_avgs: self.node_avgs.clone(),
@@ -186,37 +177,19 @@ impl EvalContext {
     /// Validate the model and precompute every shared matrix.
     pub fn new(model: DecisionModel) -> Result<EvalContext, ModelError> {
         model.validate()?;
-        let n_alts = model.num_alternatives();
-        let n_attrs = model.num_attributes();
-
-        let mut band_lo = vec![vec![0.0; n_attrs]; n_alts];
-        let mut band_mid = vec![vec![0.0; n_attrs]; n_alts];
-        let mut band_hi = vec![vec![0.0; n_attrs]; n_alts];
-        for i in 0..n_alts {
-            for j in 0..n_attrs {
-                let band = model.utility_band(i, AttributeId(j));
-                band_lo[i][j] = band.lo();
-                band_mid[i][j] = band.mid();
-                band_hi[i][j] = band.hi();
-            }
-        }
-
+        let soa = BandMatrixSoA::new(&model);
         let local = model.resolved_local_weights();
         let node_avgs = weights::normalized_averages(&model.tree, &local);
         let subtree_attrs = (0..model.tree.len())
             .map(|k| model.tree.attributes_under(ObjectiveId::from_index(k)))
             .collect();
 
-        let soa = BandMatrixSoA::from_rows(&band_lo, &band_mid, &band_hi);
         let root_weights = weights::flatten_from(&model.tree, &local, model.tree.root());
         let polytope = polytope_of(&root_weights);
         let mut scope_weights = BTreeMap::new();
         scope_weights.insert(model.tree.root().index(), root_weights);
         Ok(EvalContext {
             model,
-            band_lo,
-            band_mid,
-            band_hi,
             soa,
             local,
             node_avgs,
@@ -249,28 +222,9 @@ impl EvalContext {
         self.stats
     }
 
-    /// Component-utility band of one cell, reassembled from the stored
-    /// projections.
-    pub fn band(&self, alternative: usize, attr: AttributeId) -> Interval {
-        let j = attr.index();
-        Interval::new(self.band_lo[alternative][j], self.band_hi[alternative][j])
-    }
-
-    /// Band midpoints (`u_avg`), alternatives × attributes — the Monte
-    /// Carlo scoring matrix.
-    pub fn avg_matrix(&self) -> &[Vec<f64>] {
-        &self.band_mid
-    }
-
-    /// Band lower / upper bound matrices — the dominance and
-    /// potential-optimality inputs.
-    pub fn bound_matrices(&self) -> (&[Vec<f64>], &[Vec<f64>]) {
-        (&self.band_lo, &self.band_hi)
-    }
-
-    /// Columnar view of the band matrix (per-attribute contiguous lo / mid
-    /// / hi columns), kept in sync with [`EvalContext::set_perf`]. The
-    /// batch analyses consume this; see [`crate::soa`] for the layout.
+    /// The band matrix (per-attribute contiguous lo / mid / hi columns),
+    /// patched in place by [`EvalContext::set_perf`]. Every analysis
+    /// reads it; see [`crate::soa`] for the layout.
     pub fn soa(&self) -> &BandMatrixSoA {
         &self.soa
     }
@@ -372,39 +326,26 @@ impl EvalContext {
                 self.stats.cache_hits += 1;
                 return Arc::clone(eval);
             }
-            let rows = std::mem::take(dirty);
+            let rows: Vec<usize> = std::mem::take(dirty).into_iter().collect();
             let weights = self
                 .scope_weights
                 .get(&scope.index())
                 .expect("cached above");
+            let fresh = self.soa.bounds(weights, &rows);
             let entry = &mut self.eval_cache.get_mut(&scope.index()).expect("present").0;
             // Clone-on-write: only pays when a caller still holds the
             // previous snapshot.
             let eval = Arc::make_mut(entry);
-            for &i in &rows {
-                eval.bounds[i] = row_bounds(
-                    weights,
-                    &self.band_lo[i],
-                    &self.band_mid[i],
-                    &self.band_hi[i],
-                );
-                self.stats.rows_recomputed += 1;
+            for (&i, b) in rows.iter().zip(fresh) {
+                eval.bounds[i] = b;
             }
+            self.stats.rows_recomputed += rows.len();
             self.stats.incremental_refreshes += 1;
             return Arc::clone(&self.eval_cache[&scope.index()].0);
         }
 
-        let weights = &self.scope_weights[&scope.index()];
-        let bounds: Vec<UtilityBounds> = (0..self.model.num_alternatives())
-            .map(|i| {
-                row_bounds(
-                    weights,
-                    &self.band_lo[i],
-                    &self.band_mid[i],
-                    &self.band_hi[i],
-                )
-            })
-            .collect();
+        let all: Vec<usize> = (0..self.model.num_alternatives()).collect();
+        let bounds = self.soa.bounds(&self.scope_weights[&scope.index()], &all);
         let eval = Arc::new(Evaluation::from_parts(
             scope,
             bounds,
@@ -426,17 +367,8 @@ impl EvalContext {
         alternatives: &[usize],
     ) -> Vec<UtilityBounds> {
         self.cache_scope_weights(scope);
-        let weights = &self.scope_weights[&scope.index()];
-        let mut out = vec![
-            UtilityBounds {
-                min: 0.0,
-                avg: 0.0,
-                max: 0.0
-            };
-            alternatives.len()
-        ];
-        self.soa.bounds_into(weights, alternatives, &mut out);
-        out
+        self.soa
+            .bounds(&self.scope_weights[&scope.index()], alternatives)
     }
 
     /// Score every alternative with a fixed flat weight vector over band
@@ -461,14 +393,8 @@ impl EvalContext {
         self.model.perf.set(alternative, attr.index(), perf);
 
         let band = self.model.utility_band(alternative, attr);
-        let j = attr.index();
-        self.band_lo[alternative][j] = band.lo();
-        self.band_mid[alternative][j] = band.mid();
-        self.band_hi[alternative][j] = band.hi();
-        // Keep the columnar view coherent: a stale SoA column would feed
-        // every batch analysis outdated utilities.
         self.soa
-            .set_cell(alternative, j, band.lo(), band.mid(), band.hi());
+            .set_cell(alternative, attr.index(), band.lo(), band.mid(), band.hi());
 
         // Dirty only the scopes whose subtree actually contains the
         // changed attribute (the subtree index answers that directly);
@@ -533,20 +459,6 @@ impl EvalContext {
 fn polytope_of(weights: &AttributeWeights) -> WeightPolytope {
     WeightPolytope::new(&weights.lows(), &weights.upps())
         .expect("flattened weight intervals always intersect the simplex")
-}
-
-/// Overall utility bounds of one row against one scope's weight triples.
-fn row_bounds(weights: &AttributeWeights, lo: &[f64], mid: &[f64], hi: &[f64]) -> UtilityBounds {
-    let mut min = 0.0;
-    let mut avg = 0.0;
-    let mut max = 0.0;
-    for (attr, triple) in weights.attributes.iter().zip(&weights.triples) {
-        let j = attr.index();
-        min += triple.low * lo[j];
-        avg += triple.avg * mid[j];
-        max += triple.upp * hi[j];
-    }
-    UtilityBounds { min, avg, max }
 }
 
 #[cfg(test)]
@@ -684,9 +596,9 @@ mod tests {
 
     #[test]
     fn set_perf_keeps_soa_columns_coherent() {
-        // A stale SoA column is exactly the bug this guards against: the
-        // row-major matrices get patched, the columnar view must too, and
-        // the next batch_evaluate must see the new cell.
+        // A stale column is exactly the bug this guards against: the
+        // edited cell must reach the columns, and the next batch_evaluate
+        // must see it.
         let mut ctx = EvalContext::new(model()).unwrap();
         let root = ctx.model().tree.root();
         let before = ctx.batch_evaluate(root, &[0, 1, 2]);

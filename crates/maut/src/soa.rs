@@ -1,12 +1,8 @@
-//! Columnar (structure-of-arrays) view of the component-utility band
-//! matrix — the data layout behind every batch analysis.
+//! The component-utility band matrix, stored column by column — the only
+//! copy of it in [`crate::engine::EvalContext`].
 //!
-//! The row-major matrices of [`crate::engine::EvalContext`] are ideal for
-//! the *incremental* paths: `set_perf` touches one cell and the next
-//! evaluation re-scores one row, so the row is the natural unit. The
-//! Monte Carlo, dominance and potential-optimality sweeps have the opposite
-//! access pattern: they re-score **every** alternative against one weight
-//! vector after another, which under the additive model
+//! Every analysis re-scores alternatives against weight vectors, which
+//! under the additive model
 //!
 //! ```text
 //! score[i] = Σⱼ wⱼ · u[i][j]
@@ -17,22 +13,19 @@
 //! `hi`) as per-attribute contiguous columns of length `n_alternatives`, so
 //! that inner streak is a unit-stride read-modify-write the compiler can
 //! vectorize, and a whole batch of weight samples re-reads the same small
-//! resident columns instead of striding across rows.
+//! resident columns instead of striding across rows. The incremental paths
+//! read the same columns: `set_perf` patches one cell with
+//! [`BandMatrixSoA::set_cell`], and re-scoring a dirty alternative gathers
+//! its cells with [`BandMatrixSoA::bounds_into`].
 //!
 //! Numerical contract: every scoring method accumulates over attributes in
-//! ascending index order, exactly like the scalar row paths
-//! ([`crate::engine::EvalContext::score_with_weights`], the internal
-//! per-row bounds kernel), so SoA results are **bit-identical** to the
-//! scalar reference — the differential suite in `tests/soa_equivalence.rs`
-//! holds both paths to `ORDERING_EPS` and in practice they agree exactly.
-//!
-//! When is the scalar path still used? Single-alternative incremental
-//! updates (`set_perf` + `evaluate`) re-score one row against the row-major
-//! matrices, and cached whole-model evaluations never touch the columns;
-//! the SoA earns its keep only when many (alternative × weight-vector)
-//! cells are scored per call.
+//! ascending index order from `0.0`, exactly like the row-at-a-time
+//! reference [`crate::evaluate::evaluate_scope`], so the bounds are
+//! **bit-identical** to it; the differential suite in
+//! `tests/soa_equivalence.rs` holds the two to that.
 
 use crate::evaluate::UtilityBounds;
+use crate::model::{AttributeId, DecisionModel};
 use crate::weights::AttributeWeights;
 
 /// Trial count of the register-blocked transposed scoring kernel (16
@@ -51,51 +44,28 @@ pub struct BandMatrixSoA {
     hi: Vec<f64>,
 }
 
-/// Transpose a row-major matrix into column-major storage; panics on
-/// ragged input.
-fn transpose(rows: &[Vec<f64>], n_alts: usize, n_attrs: usize) -> Vec<f64> {
-    assert_eq!(rows.len(), n_alts, "projection row counts differ");
-    let mut cols = vec![0.0; n_alts * n_attrs];
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.len(), n_attrs, "ragged band matrix");
-        for (j, &v) in row.iter().enumerate() {
-            cols[j * n_alts + i] = v;
-        }
-    }
-    cols
-}
-
 impl BandMatrixSoA {
-    /// Build from row-major projection matrices (`rows[i][j]` = alternative
-    /// `i`, attribute `j`). Panics on ragged input.
-    pub fn from_rows(lo: &[Vec<f64>], mid: &[Vec<f64>], hi: &[Vec<f64>]) -> BandMatrixSoA {
-        let n_alts = lo.len();
-        let n_attrs = lo.first().map_or(0, Vec::len);
-        BandMatrixSoA {
+    /// Build every cell's three projections from
+    /// [`DecisionModel::utility_band`], one attribute column at a time.
+    pub fn new(model: &DecisionModel) -> BandMatrixSoA {
+        let (n_alts, n_attrs) = (model.num_alternatives(), model.num_attributes());
+        let len = n_alts * n_attrs;
+        let mut soa = BandMatrixSoA {
             n_alts,
             n_attrs,
-            lo: transpose(lo, n_alts, n_attrs),
-            mid: transpose(mid, n_alts, n_attrs),
-            hi: transpose(hi, n_alts, n_attrs),
+            lo: Vec::with_capacity(len),
+            mid: Vec::with_capacity(len),
+            hi: Vec::with_capacity(len),
+        };
+        for j in 0..n_attrs {
+            for i in 0..n_alts {
+                let band = model.utility_band(i, AttributeId(j));
+                soa.lo.push(band.lo());
+                soa.mid.push(band.mid());
+                soa.hi.push(band.hi());
+            }
         }
-    }
-
-    /// Build from the two bound matrices only, for analyses that never
-    /// read the midpoint columns (dominance, potential optimality,
-    /// intensity): the mid columns alias the lower bounds, so no midpoint
-    /// matrix has to be derived or transposed. Reading
-    /// [`BandMatrixSoA::mid`] on such a matrix returns lower bounds.
-    pub fn from_bounds(lo: &[Vec<f64>], hi: &[Vec<f64>]) -> BandMatrixSoA {
-        let n_alts = lo.len();
-        let n_attrs = lo.first().map_or(0, Vec::len);
-        let lo_t = transpose(lo, n_alts, n_attrs);
-        BandMatrixSoA {
-            n_alts,
-            n_attrs,
-            mid: lo_t.clone(),
-            lo: lo_t,
-            hi: transpose(hi, n_alts, n_attrs),
-        }
+        soa
     }
 
     /// Number of alternatives (rows of the logical matrix).
@@ -220,9 +190,9 @@ impl BandMatrixSoA {
 
     /// Overall utility bounds of the requested alternatives against one
     /// scope's weight triples, written to `out` in request order — the
-    /// columnar kernel behind `EvalContext::batch_evaluate`. Attributes
-    /// outside the scope simply have no triple and contribute nothing,
-    /// matching the scalar per-row kernel exactly (same accumulation
+    /// kernel behind every `EvalContext` evaluation. Attributes outside
+    /// the scope simply have no triple and contribute nothing, matching
+    /// [`crate::evaluate::evaluate_scope`] exactly (same accumulation
     /// order).
     pub fn bounds_into(
         &self,
@@ -247,6 +217,18 @@ impl BandMatrixSoA {
                 b.max += triple.upp * hi[i];
             }
         }
+    }
+
+    /// Allocating convenience wrapper over [`BandMatrixSoA::bounds_into`].
+    pub fn bounds(&self, weights: &AttributeWeights, alternatives: &[usize]) -> Vec<UtilityBounds> {
+        let zero = UtilityBounds {
+            min: 0.0,
+            avg: 0.0,
+            max: 0.0,
+        };
+        let mut out = vec![zero; alternatives.len()];
+        self.bounds_into(weights, alternatives, &mut out);
+        out
     }
 }
 
@@ -280,14 +262,14 @@ mod tests {
         let soa = c.soa();
         assert_eq!(soa.n_alternatives(), 3);
         assert_eq!(soa.n_attributes(), 3);
-        let (lo_rows, hi_rows) = c.bound_matrices();
-        let mid_rows = c.avg_matrix();
+        let (lo_rows, hi_rows) = c.model().bound_utility_matrices();
+        let mid_rows = c.model().avg_utility_matrix();
         for i in 0..3 {
             for j in 0..3 {
-                assert_eq!(soa.lo(i, j), lo_rows[i][j]);
-                assert_eq!(soa.mid(i, j), mid_rows[i][j]);
-                assert_eq!(soa.hi(i, j), hi_rows[i][j]);
-                assert_eq!(soa.lo_col(j)[i], lo_rows[i][j]);
+                assert_eq!(soa.lo(i, j).to_bits(), lo_rows[i][j].to_bits());
+                assert_eq!(soa.mid(i, j).to_bits(), mid_rows[i][j].to_bits());
+                assert_eq!(soa.hi(i, j).to_bits(), hi_rows[i][j].to_bits());
+                assert_eq!(soa.lo_col(j)[i].to_bits(), lo_rows[i][j].to_bits());
             }
         }
     }
@@ -334,21 +316,14 @@ mod tests {
 
     #[test]
     fn bounds_match_evaluation() {
-        let mut c = ctx();
-        let full = c.evaluate();
-        let weights = c.weights().clone();
-        let mut out = vec![
-            UtilityBounds {
-                min: 0.0,
-                avg: 0.0,
-                max: 0.0
-            };
-            3
-        ];
-        c.soa().bounds_into(&weights, &[2, 0, 1], &mut out);
-        assert_eq!(out[0], full.bounds[2]);
-        assert_eq!(out[1], full.bounds[0]);
-        assert_eq!(out[2], full.bounds[1]);
+        // Against the from-scratch reference, which reads the model's
+        // cells and shares no code with the columns.
+        let c = ctx();
+        let reference = crate::evaluate::evaluate_scope(c.model(), c.model().tree.root());
+        let out = c.soa().bounds(c.weights(), &[2, 0, 1]);
+        assert_eq!(out[0], reference.bounds[2]);
+        assert_eq!(out[1], reference.bounds[0]);
+        assert_eq!(out[2], reference.bounds[1]);
     }
 
     #[test]

@@ -120,10 +120,11 @@ fn random_model(seed: u64, max_alts: usize, max_attrs: usize) -> DecisionModel {
     b.build().expect("random model is valid")
 }
 
-/// Row-major dominance reference — the pre-blocked-sweep logic over
-/// `bound_matrices()`, sharing no code with the columnar kernels.
+/// Row-major dominance reference — the pre-blocked-sweep logic over the
+/// model's `bound_utility_matrices()`, sharing no code or storage with the
+/// columnar kernels.
 fn reference_dominance(ctx: &EvalContext) -> Vec<Vec<DominanceOutcome>> {
-    let (u_lo, u_hi) = ctx.bound_matrices();
+    let (u_lo, u_hi) = ctx.model().bound_utility_matrices();
     let polytope = dominance::weight_polytope_ctx(ctx);
     let n = u_lo.len();
     (0..n)
@@ -151,9 +152,9 @@ fn reference_dominance(ctx: &EvalContext) -> Vec<Vec<DominanceOutcome>> {
 }
 
 /// Row-major potential-optimality reference — the pre-SoA max-slack LP
-/// built straight from `bound_matrices()`.
+/// built straight from the model's `bound_utility_matrices()`.
 fn reference_potential(ctx: &EvalContext) -> Vec<(bool, f64)> {
-    let (u_lo, u_hi) = ctx.bound_matrices();
+    let (u_lo, u_hi) = ctx.model().bound_utility_matrices();
     let polytope = dominance::weight_polytope_ctx(ctx);
     let n = u_lo.len();
     let n_attr = polytope.dim();
@@ -193,7 +194,7 @@ fn reference_potential(ctx: &EvalContext) -> Vec<(bool, f64)> {
 /// Row-major dominance-interval reference — per-pair allocating polytope
 /// optimization, the pre-blocked-sweep formulation.
 fn reference_intervals(ctx: &EvalContext) -> Vec<Vec<(f64, f64)>> {
-    let (u_lo, u_hi) = ctx.bound_matrices();
+    let (u_lo, u_hi) = ctx.model().bound_utility_matrices();
     let polytope = dominance::weight_polytope_ctx(ctx);
     let n = u_lo.len();
     (0..n)
@@ -714,6 +715,46 @@ fn set_perf_reaches_the_soa_columns_before_batch_evaluate() {
     let mut fresh = fresh;
     let fresh_batch = fresh.batch_evaluate(root, &all);
     assert_eq!(batch, fresh_batch);
+}
+
+#[test]
+fn soa_columns_equal_the_model_bands_after_set_perf_histories() {
+    // Every cell of the only band matrix against the model's own
+    // `utility_band`, bit for bit: at construction and after a seeded
+    // `set_perf` history. Comparing against a second context would share
+    // the constructor under test.
+    let assert_cells = |ctx: &EvalContext, what: &str| {
+        let (model, soa) = (ctx.model(), ctx.soa());
+        for i in 0..model.num_alternatives() {
+            for j in 0..model.num_attributes() {
+                let band = model.utility_band(i, AttributeId::from_index(j));
+                let cell = [soa.lo(i, j), soa.mid(i, j), soa.hi(i, j)];
+                assert_eq!(
+                    cell.map(f64::to_bits),
+                    [band.lo(), band.mid(), band.hi()].map(f64::to_bits),
+                    "cell ({i}, {j}), {what}"
+                );
+            }
+        }
+    };
+    for family in gmaa_gen::Family::ALL {
+        let cfg = gmaa_gen::GenConfig::preset(family, 24, 9, 7);
+        let mut ctx = EvalContext::new(gmaa_gen::generate(&cfg)).expect("valid");
+        assert_cells(&ctx, &format!("{} as built", cfg.label()));
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x50A);
+        for _ in 0..60 {
+            let alt = rng.random_range(0..ctx.model().num_alternatives());
+            let j = rng.random_range(0..ctx.model().num_attributes());
+            let perf = match &ctx.model().attributes[j].scale {
+                _ if rng.random_range(0..10) == 0 => Perf::Missing,
+                Scale::Discrete(s) => Perf::level(rng.random_range(0..s.len())),
+                Scale::Continuous(c) => Perf::value(rng.random_range(c.min..=c.max)),
+            };
+            ctx.set_perf(alt, AttributeId::from_index(j), perf)
+                .expect("scale-valid edit");
+        }
+        assert_cells(&ctx, &format!("{} after edits", cfg.label()));
+    }
 }
 
 #[test]

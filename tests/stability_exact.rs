@@ -28,6 +28,9 @@ struct Probe<'a> {
     target: ObjectiveId,
     /// `(attribute index, root-exclusive path from the root down)`.
     leaves: Vec<(usize, Vec<usize>)>,
+    /// Band midpoints, alternatives × attributes, read off the model so
+    /// the reference shares no storage with the kernel.
+    avg: Vec<Vec<f64>>,
 }
 
 impl<'a> Probe<'a> {
@@ -49,6 +52,7 @@ impl<'a> Probe<'a> {
             ctx,
             target,
             leaves,
+            avg: ctx.model().avg_utility_matrix(),
         }
     }
 
@@ -78,8 +82,7 @@ impl<'a> Probe<'a> {
             }
             flat[*attr] = p;
         }
-        self.ctx
-            .avg_matrix()
+        self.avg
             .iter()
             .map(|row| row.iter().zip(&flat).map(|(u, w)| u * w).sum())
             .collect()
