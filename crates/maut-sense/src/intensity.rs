@@ -26,15 +26,21 @@
 //! formulation, with bit-identical values.
 //!
 //! * **Full sweep** ([`IntervalMatrix::recompute`]): for each row `i`,
-//!   blocks of 16 rivals have their adversarial difference vectors
-//!   gathered in one unit-stride pass over the [`maut::BandMatrixSoA`]
-//!   columns, then the polytope's greedy minimum is taken per rival
-//!   through one reused [`GreedyScratch`]. The sweep writes into the
-//!   matrix's existing allocation.
+//!   blocks of [`POUR_LANES`] (16) rivals have their adversarial
+//!   difference vectors gathered attribute-major (`worst[j·16 + t]`,
+//!   unit-stride on both sides) from the [`maut::BandMatrixSoA`]
+//!   columns, then one block pour
+//!   ([`simplex_lp::WeightPolytope::minimize_block`]) takes the greedy
+//!   minimum of all 16 rivals at once, one rival per SIMD lane, through
+//!   one reused [`GreedyScratch`]. Each lane is bit-identical to a
+//!   one-rival pour. The sweep writes into the matrix's existing
+//!   allocation.
 //! * **Incremental update** ([`IntervalMatrix::update`]): a pair `(i, k)`
 //!   depends only on band rows `i` and `k`, so after edits to the `dirty`
-//!   alternatives only their rows and columns are re-optimized, in place,
-//!   through the same gather and kernel — bit-identical to a full sweep.
+//!   alternatives only their rows and columns are re-optimized, in place:
+//!   a dirty row goes through the row gather and kernel, a dirty column
+//!   gathers 16 rows against the edited alternative and pours them in
+//!   one call — bit-identical to a full sweep.
 //! * **Derivation** ([`IntervalMatrix::derive`]): one allocation-free
 //!   pass over the buffer reads off the non-dominated set and every
 //!   intensity. Each intensity sums the rival terms in index order, so
@@ -43,12 +49,13 @@
 
 use maut::{BandMatrixSoA, EvalContext};
 use serde::{Deserialize, Serialize};
-use simplex_lp::GreedyScratch;
+use simplex_lp::{GreedyScratch, POUR_LANES};
 use std::collections::BTreeSet;
 
-/// Rivals whose difference vectors are gathered per column sweep (the
-/// block stays L1-resident: `PAIR_BLOCK` × n_attrs doubles).
-pub(crate) const PAIR_BLOCK: usize = 16;
+/// Pairs whose difference vectors are gathered and poured per kernel
+/// call: one per lane of the block pour (the block stays L1-resident:
+/// `PAIR_BLOCK` × n_attrs doubles).
+pub(crate) const PAIR_BLOCK: usize = POUR_LANES;
 
 /// Rows per block of the derivation pass (their mirrored minima span two
 /// cache lines of each rival row).
@@ -114,10 +121,11 @@ pub fn intensity_ranking_ctx(ctx: &EvalContext) -> Vec<IntensityRank> {
         .1
 }
 
-/// Gather one block of adversarial difference rows from the columnar band
-/// matrix: for rivals `k ∈ kb .. kb + block`,
-/// `worst[t·m + j] = lo(i, j) − hi(k, j)`. Reads each attribute column
-/// with unit stride over the rival range.
+/// Gather one row block of adversarial difference vectors from the
+/// columnar band matrix, attribute-major for the block pour: for rivals
+/// `k ∈ kb .. kb + block`, `worst[j·PAIR_BLOCK + t] = lo(i, j) − hi(kb + t, j)`.
+/// Each attribute column is read and written with unit stride; lanes from
+/// `block` on are left as they are (the pour leaves them dead).
 pub(crate) fn gather_diff_block(
     soa: &BandMatrixSoA,
     i: usize,
@@ -125,12 +133,23 @@ pub(crate) fn gather_diff_block(
     block: usize,
     worst: &mut [f64],
 ) {
-    let m = soa.n_attributes();
-    for j in 0..m {
+    for (j, lanes) in worst.chunks_exact_mut(PAIR_BLOCK).enumerate() {
         let lo_i = soa.lo_col(j)[i];
-        let hi_col = soa.hi_col(j);
-        for t in 0..block {
-            worst[t * m + j] = lo_i - hi_col[kb + t];
+        for (w, &hi_k) in lanes.iter_mut().zip(&soa.hi_col(j)[kb..kb + block]) {
+            *w = lo_i - hi_k;
+        }
+    }
+}
+
+/// Gather one column block: the adversarial difference vectors of rows
+/// `i ∈ ib .. ib + block` against the fixed rival `k`,
+/// `worst[j·PAIR_BLOCK + t] = lo(ib + t, j) − hi(k, j)`, laid out as in
+/// [`gather_diff_block`].
+fn gather_column_block(soa: &BandMatrixSoA, ib: usize, block: usize, k: usize, worst: &mut [f64]) {
+    for (j, lanes) in worst.chunks_exact_mut(PAIR_BLOCK).enumerate() {
+        let hi_k = soa.hi_col(j)[k];
+        for (w, &lo_i) in lanes.iter_mut().zip(&soa.lo_col(j)[ib..ib + block]) {
+            *w = lo_i - hi_k;
         }
     }
 }
@@ -203,7 +222,8 @@ impl IntervalMatrix {
         }
     }
 
-    /// Row `i`: the minimum against every rival, by blocked column sweep.
+    /// Row `i`: the minimum against every rival, one block pour per
+    /// `PAIR_BLOCK` rivals.
     fn update_row(
         &mut self,
         ctx: &EvalContext,
@@ -212,25 +232,19 @@ impl IntervalMatrix {
         worst: &mut [f64],
     ) {
         let (soa, polytope) = (ctx.soa(), ctx.polytope());
-        let (n, m) = (self.n, soa.n_attributes());
+        let n = self.n;
         let row = &mut self.mins[i * n..(i + 1) * n];
-        let mut kb = 0;
-        while kb < n {
-            let block = PAIR_BLOCK.min(n - kb);
-            gather_diff_block(soa, i, kb, block, worst);
-            for (t, min) in row[kb..kb + block].iter_mut().enumerate() {
-                *min = if kb + t == i {
-                    0.0
-                } else {
-                    polytope.minimize_value(&worst[t * m..(t + 1) * m], scratch)
-                };
-            }
-            kb += block;
+        for (kb, mins) in (0..n).step_by(PAIR_BLOCK).zip(row.chunks_mut(PAIR_BLOCK)) {
+            gather_diff_block(soa, i, kb, mins.len(), worst);
+            let values = polytope.minimize_block(worst, mins.len(), scratch);
+            mins.copy_from_slice(&values[..mins.len()]);
         }
+        row[i] = 0.0;
     }
 
-    /// Column `d`: every non-dirty rival against `d` (dirty rows are
-    /// re-swept whole by [`IntervalMatrix::update_row`]).
+    /// Column `d`: every non-dirty rival against `d`, one block pour per
+    /// `PAIR_BLOCK` rows (dirty rows, `d`'s among them, are re-swept whole
+    /// by [`IntervalMatrix::update_row`] and are not written here).
     fn update_column(
         &mut self,
         ctx: &EvalContext,
@@ -240,13 +254,16 @@ impl IntervalMatrix {
         worst: &mut [f64],
     ) {
         let (soa, polytope) = (ctx.soa(), ctx.polytope());
-        let (n, m) = (self.n, soa.n_attributes());
-        for i in 0..n {
-            if i == d || dirty.contains(&i) {
-                continue;
+        let n = self.n;
+        for ib in (0..n).step_by(PAIR_BLOCK) {
+            let block = PAIR_BLOCK.min(n - ib);
+            gather_column_block(soa, ib, block, d, worst);
+            let values = polytope.minimize_block(worst, block, scratch);
+            for (i, &min) in (ib..ib + block).zip(&values) {
+                if i != d && !dirty.contains(&i) {
+                    self.mins[i * n + d] = min;
+                }
             }
-            gather_diff_block(soa, i, d, 1, worst);
-            self.mins[i * n + d] = polytope.minimize_value(&worst[..m], scratch);
         }
     }
 
@@ -466,6 +483,54 @@ mod tests {
                     dominates,
                     "({i},{k})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn block_update_matches_recompute_across_lane_boundaries() {
+        // Sizes around one and two pour blocks; the dirty sets include
+        // rows sharing a 16-row block, block edges and the last row.
+        for n in [
+            1,
+            PAIR_BLOCK - 1,
+            PAIR_BLOCK,
+            PAIR_BLOCK + 1,
+            2 * PAIR_BLOCK + 1,
+        ] {
+            let rows: Vec<(String, usize, usize)> = (0..n)
+                .map(|i| (format!("a{i:02}"), i % 4, (i / 3) % 4))
+                .collect();
+            let refs: Vec<(&str, usize, usize)> =
+                rows.iter().map(|(n, x, y)| (n.as_str(), *x, *y)).collect();
+            let mut c = ctx(&model(&refs));
+            let x = c.model().find_attribute("x").unwrap();
+            let y = c.model().find_attribute("y").unwrap();
+            let dirty_sets: [&[usize]; 5] = [
+                &[0],
+                &[n - 1],
+                &[1, 2, 14],
+                &[0, 15, 16],
+                &[3, 9, 17, 31, 32],
+            ];
+            for (round, dirty) in dirty_sets.iter().enumerate() {
+                let dirty: BTreeSet<usize> = dirty.iter().copied().filter(|&d| d < n).collect();
+                let mut intervals = dominance_intervals_ctx(&c);
+                for &d in &dirty {
+                    c.set_perf(d, x, Perf::level((d + round + 1) % 4)).unwrap();
+                    c.set_perf(d, y, Perf::level((d + 2 * round + 3) % 4))
+                        .unwrap();
+                }
+                intervals.update(&c, &dirty);
+                let full = dominance_intervals_ctx(&c);
+                assert_eq!(bits(&intervals), bits(&full), "n={n} dirty={dirty:?}");
+                for i in 0..n {
+                    assert_eq!(
+                        intervals.minima()[i * n + i].to_bits(),
+                        0.0f64.to_bits(),
+                        "diagonal ({i},{i}), n={n}"
+                    );
+                }
             }
         }
     }

@@ -89,7 +89,7 @@ mod tableau;
 mod workspace;
 
 pub use error::LpError;
-pub use polytope::{minimize_via_lp, GreedyScratch, WeightPolytope};
+pub use polytope::{minimize_via_lp, GreedyScratch, WeightPolytope, POUR_LANES};
 pub use problem::{Bound, Constraint, LinearProgram, Objective, Relation};
 pub use solver::{Solution, Status};
 pub use workspace::{BasisCache, SolveStats, SolverWorkspace};

@@ -26,16 +26,28 @@ pub struct WeightPolytope {
     upper: Vec<f64>,
 }
 
-/// Reusable buffers for the allocation-free greedy optimizers
-/// ([`WeightPolytope::minimize_value`] / [`WeightPolytope::maximize_value`]).
-/// One scratch serves any number of polytopes and coefficient vectors; the
-/// hot dominance / intensity sweeps thread a single scratch through every
-/// alternative pair.
+/// Coefficient vectors one block pour solves per call
+/// ([`WeightPolytope::minimize_block`] / [`WeightPolytope::maximize_block`]):
+/// the lane count of the attribute-major `m × POUR_LANES` blocks.
+pub const POUR_LANES: usize = 16;
+
+/// Reusable lane buffers for the allocation-free greedy optimizers
+/// ([`WeightPolytope::minimize_value`] / [`WeightPolytope::maximize_value`]
+/// and their [`POUR_LANES`]-wide block forms). One scratch serves any
+/// number of polytopes and coefficient blocks; the hot dominance /
+/// intensity sweeps thread a single scratch through every block of
+/// alternative pairs.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyScratch {
-    /// Pour-order key per coordinate (`CONSUMED` once poured into).
+    /// Pour-order key per coordinate and lane (`CONSUMED` once poured
+    /// into), attribute-major like the coefficients.
     keys: Vec<i64>,
-    /// The arg-optimum of the last call (index order).
+    /// The arg-optima of the last call, attribute-major: coordinate `j`
+    /// of lane `t` at `w[j·L + t]`, where `L` is 1 or [`POUR_LANES`]. A
+    /// one-lane call
+    /// ([`WeightPolytope::minimize_value`] /
+    /// [`WeightPolytope::maximize_value`]) leaves the plain arg-optimum in
+    /// index order.
     pub w: Vec<f64>,
 }
 
@@ -50,18 +62,21 @@ fn total_key(x: f64) -> i64 {
     bits ^ ((((bits >> 63) as u64) >> 1) as i64)
 }
 
-/// Position and value of the smallest key, the first one on ties
-/// (`CONSUMED` when every key is).
+/// Per lane, the coordinate holding the smallest key, the first one on
+/// ties, and that key (`CONSUMED` when every key of the lane is). One
+/// pass over the attribute-major keys with `L` independent compare
+/// chains, which the compiler keeps in vector registers.
 #[inline(always)]
-fn first_min(keys: &[i64]) -> (usize, i64) {
-    let (mut j, mut key) = (0, CONSUMED);
-    for (i, &k) in keys.iter().enumerate() {
-        if k < key {
-            j = i;
-            key = k;
+fn lane_argmin<const L: usize>(keys: &[i64]) -> ([usize; L], [i64; L]) {
+    let (mut at, mut best) = ([0usize; L], [CONSUMED; L]);
+    for (j, row) in keys.as_chunks::<L>().0.iter().enumerate() {
+        for ((a, b), &k) in at.iter_mut().zip(best.iter_mut()).zip(row) {
+            let less = k < *b;
+            *a = if less { j } else { *a };
+            *b = if less { k } else { *b };
         }
     }
-    (j, key)
+    (at, best)
 }
 
 impl WeightPolytope {
@@ -137,63 +152,97 @@ impl WeightPolytope {
             .all(|(&x, (&l, &u))| x >= l - tol && x <= u + tol)
     }
 
-    /// The greedy continuous-knapsack core shared by every optimizer:
-    /// start from the lower bounds and pour the remaining mass into the
-    /// coordinates in ascending key order, where `flip` is `0` to
-    /// minimize (ascending `c`) and `!0` to maximize (descending `c`).
-    /// Fills `scratch.w` with the arg-optimum and returns `c · w`,
-    /// allocating nothing once the scratch is warm.
+    /// The greedy continuous-knapsack core shared by every optimizer, on
+    /// `L` coefficient vectors at once: `c` is attribute-major
+    /// (`c[j·L + t]` is coordinate `j` of lane `t`), and the first `live`
+    /// lanes are solved. Each lane starts from the lower bounds and pours
+    /// the remaining mass into its coordinates in ascending key order,
+    /// where `flip` is `0` to minimize (ascending `c`) and `!0` to maximize
+    /// (descending `c`). Fills `scratch.w` with the attribute-major
+    /// arg-optima and returns every lane's `c · w` (lanes from `live` on
+    /// are left dead and their values are meaningless), allocating
+    /// nothing once the scratch is warm.
     ///
     /// # The selection pour
     ///
     /// There is no sort. Each coefficient becomes its integer
     /// [`f64::total_cmp`] key, bitwise-inverted when maximizing (which
-    /// reverses the order exactly and keeps ties tied). Every step pours
-    /// into the smallest unconsumed key, the lowest index on ties, until
-    /// `remaining ≤ EPS`; the scan runs over the two halves of the keys as
-    /// independent compare chains, the lower half winning ties, which keeps
-    /// that rule and halves the scan's latency.
+    /// reverses the order exactly and keeps ties tied). Every step, each
+    /// live lane pours into its smallest unconsumed key, the lowest index
+    /// on ties, adding `min(upp − low, remaining)`; a lane dies once its
+    /// `remaining ≤ EPS` or every key is consumed, and the block ends when
+    /// no lane lives. One scan finds the minimum of all `L` lanes, with the
+    /// lanes as independent compare chains in vector registers, so a block
+    /// of rivals costs about what its longest single pour does.
     ///
     /// This is the visiting order of a stable sort by `total_cmp`, cut at
     /// the same point: the same coordinates receive the same
     /// `min(cap, remaining)` amounts through the same float operations in
-    /// the same order, so `w` and the index-order dot product are
-    /// bit-identical to the sorted pour. The pour usually stops after a few
-    /// coordinates, so an `O(m)` scan per step beats sorting all `m` keys.
-    /// The one NaN bit pattern per direction whose key would equal
+    /// the same order, and the value sums `cⱼ·wⱼ` in index order from the
+    /// start value `Iterator::sum` folds from, so `w` and the value are
+    /// bit-identical to the sorted pour, whatever the other lanes hold.
+    /// `1 − Σ low` is computed once per call. The pour usually stops after
+    /// a few coordinates, so an `O(m)` scan per step beats sorting all `m`
+    /// keys. The one NaN bit pattern per direction whose key would equal
     /// `CONSUMED` is clamped onto its neighbour (another NaN); that can
     /// only reorder coefficients that already make the value NaN.
-    fn pour(&self, c: &[f64], scratch: &mut GreedyScratch, flip: i64) -> f64 {
-        assert_eq!(c.len(), self.dim(), "coefficient length mismatch");
+    fn pour<const L: usize>(
+        &self,
+        c: &[f64],
+        live: usize,
+        scratch: &mut GreedyScratch,
+        flip: i64,
+    ) -> [f64; L] {
+        let (lower, upper) = (&self.lower, &self.upper);
+        assert_eq!(c.len(), lower.len() * L, "coefficient length mismatch");
+        assert!(live <= L, "more live lanes than the block holds");
         let GreedyScratch { keys, w } = scratch;
-        w.clear();
-        w.extend_from_slice(&self.lower);
-        let mut remaining: f64 = 1.0 - w.iter().sum::<f64>();
         keys.clear();
         keys.extend(c.iter().map(|&x| (total_key(x) ^ flip).min(CONSUMED - 1)));
-        let half = keys.len() / 2;
-        while remaining > EPS {
-            let (lower, upper) = keys.split_at(half);
-            let (ja, ka) = first_min(lower);
-            let (jb, kb) = first_min(upper);
-            let (j, key) = if kb < ka { (half + jb, kb) } else { (ja, ka) };
-            if key == CONSUMED {
-                break;
-            }
-            keys[j] = CONSUMED;
-            let add = (self.upper[j] - self.lower[j]).min(remaining);
-            w[j] += add;
-            remaining -= add;
+        w.clear();
+        for &l in lower {
+            w.extend(std::iter::repeat_n(l, L));
         }
-        debug_assert!(remaining <= 1e-7, "polytope was infeasible");
-        c.iter().zip(w.iter()).map(|(a, b)| a * b).sum()
+        let start = 1.0 - lower.iter().sum::<f64>();
+        let mut remaining = [start; L];
+        let mut alive: [bool; L] = std::array::from_fn(|t| t < live && start > EPS);
+        while alive.contains(&true) {
+            let (at, best) = lane_argmin::<L>(keys);
+            for t in 0..L {
+                if !alive[t] {
+                    continue;
+                }
+                if best[t] == CONSUMED {
+                    alive[t] = false;
+                    continue;
+                }
+                let j = at[t];
+                keys[j * L + t] = CONSUMED;
+                let add = (upper[j] - lower[j]).min(remaining[t]);
+                w[j * L + t] += add;
+                remaining[t] -= add;
+                alive[t] = remaining[t] > EPS;
+            }
+        }
+        debug_assert!(
+            remaining[..live].iter().all(|&r| r <= 1e-7),
+            "polytope was infeasible"
+        );
+        let mut value = [std::iter::empty::<f64>().sum(); L];
+        for (c_row, w_row) in c.as_chunks::<L>().0.iter().zip(w.as_chunks::<L>().0) {
+            for ((v, &a), &b) in value.iter_mut().zip(c_row).zip(w_row) {
+                *v += a * b;
+            }
+        }
+        value
     }
 
     /// Minimum of `c · w` over the polytope, reusing the caller's scratch
-    /// buffers — the batch-sweep entry point (bit-identical to
-    /// [`WeightPolytope::minimize`], without its allocations).
+    /// buffers (bit-identical to [`WeightPolytope::minimize`], without its
+    /// allocations): the one-lane case of the block pour.
     pub fn minimize_value(&self, c: &[f64], scratch: &mut GreedyScratch) -> f64 {
-        self.pour(c, scratch, 0)
+        let [value] = self.pour::<1>(c, 1, scratch, 0);
+        value
     }
 
     /// Maximum of `c · w` over the polytope, reusing the caller's scratch
@@ -204,7 +253,36 @@ impl WeightPolytope {
         // descending-c order, lowest index first among equals — exactly
         // the coordinates `minimize(-c)` visits (negation is exact), so
         // the value matches -minimize(-c) bit for bit.
-        self.pour(c, scratch, !0)
+        let [value] = self.pour::<1>(c, 1, scratch, !0);
+        value
+    }
+
+    /// Minima of `POUR_LANES` coefficient vectors in one pour — the
+    /// batch-sweep entry point. `c` is an attribute-major
+    /// `dim × POUR_LANES` block (`c[j·POUR_LANES + t]` is coordinate `j` of
+    /// lane `t`); lanes `0..live` are solved, each bit-identical to
+    /// [`WeightPolytope::minimize_value`] on its own vector, and the
+    /// returned values from `live` on are meaningless. Lane `t`'s
+    /// arg-minimum is left in `scratch.w[j·POUR_LANES + t]`.
+    pub fn minimize_block(
+        &self,
+        c: &[f64],
+        live: usize,
+        scratch: &mut GreedyScratch,
+    ) -> [f64; POUR_LANES] {
+        self.pour::<POUR_LANES>(c, live, scratch, 0)
+    }
+
+    /// Maxima of `POUR_LANES` coefficient vectors in one pour (the block
+    /// form of [`WeightPolytope::maximize_value`]; layout as in
+    /// [`WeightPolytope::minimize_block`]).
+    pub fn maximize_block(
+        &self,
+        c: &[f64],
+        live: usize,
+        scratch: &mut GreedyScratch,
+    ) -> [f64; POUR_LANES] {
+        self.pour::<POUR_LANES>(c, live, scratch, !0)
     }
 
     /// Minimize `c · w` over the polytope. Exact greedy continuous-knapsack:

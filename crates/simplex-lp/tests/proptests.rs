@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use simplex_lp::{
     minimize_via_lp, Bound, GreedyScratch, LinearProgram, Objective, Relation, Status,
-    WeightPolytope, EPS,
+    WeightPolytope, EPS, POUR_LANES,
 };
 
 /// Strategy: a feasible box-on-simplex polytope of dimension 2..=8.
@@ -44,16 +44,17 @@ const TIE_VALUES: [Option<f64>; 9] = [
 const LOW_SUMS: [f64; 4] = [0.0, 1.0 - 2.0 * EPS, 1.0 - 0.5 * EPS, 1.0 + 0.5 * EPS];
 
 /// Strategy: a polytope of dimension 1..=40 with zero-width, tiny,
-/// partial and full-range boxes, plus eight tie-heavy coefficient vectors.
-fn tie_heavy_case() -> impl Strategy<Value = (WeightPolytope, Vec<Vec<f64>>)> {
+/// partial and full-range boxes, plus `vectors` tie-heavy coefficient
+/// vectors.
+fn tie_heavy_case(vectors: usize) -> impl Strategy<Value = (WeightPolytope, Vec<Vec<f64>>)> {
     (1usize..=40)
-        .prop_flat_map(|m| {
+        .prop_flat_map(move |m| {
             (
                 proptest::collection::vec((0.0f64..1.0, 0usize..4, 0.0f64..1.0), m),
                 (0usize..LOW_SUMS.len(), 0.0f64..0.9),
                 proptest::collection::vec(
                     proptest::collection::vec((0usize..TIE_VALUES.len(), -2.0f64..2.0), m),
-                    8,
+                    vectors,
                 ),
             )
         })
@@ -124,7 +125,7 @@ proptest! {
     /// coefficients, signed zeros, zero-width boxes and lows at the
     /// stopping threshold, through one reused scratch.
     #[test]
-    fn selection_pour_matches_sorted_pour(case in tie_heavy_case()) {
+    fn selection_pour_matches_sorted_pour(case in tie_heavy_case(8)) {
         let (p, coefficients) = case;
         let mut scratch = GreedyScratch::default();
         for c in &coefficients {
@@ -137,6 +138,38 @@ proptest! {
                 };
                 prop_assert_eq!(got.to_bits(), value.to_bits(), "value, max={} c={:?}", maximize, c);
                 prop_assert_eq!(bits(&scratch.w), bits(&w), "argopt, max={} c={:?}", maximize, c);
+            }
+        }
+    }
+
+    /// The block pour solves every live lane bit-identically to the sorted
+    /// pour — value and arg-optimum, minimizing and maximizing — on the
+    /// same tie-heavy inputs, for 1..=16 live lanes. The dead lanes hold
+    /// the remaining coefficient vectors, so a live lane's result must not
+    /// depend on its neighbours.
+    #[test]
+    fn block_pour_matches_sorted_pour(case in tie_heavy_case(POUR_LANES),
+                                      live in 1usize..=POUR_LANES) {
+        let (p, coefficients) = case;
+        let m = p.dim();
+        let mut block = vec![0.0; m * POUR_LANES];
+        for (t, c) in coefficients.iter().enumerate() {
+            for (j, &x) in c.iter().enumerate() {
+                block[j * POUR_LANES + t] = x;
+            }
+        }
+        let mut scratch = GreedyScratch::default();
+        for maximize in [false, true] {
+            let got = if maximize {
+                p.maximize_block(&block, live, &mut scratch)
+            } else {
+                p.minimize_block(&block, live, &mut scratch)
+            };
+            for (t, c) in coefficients.iter().enumerate().take(live) {
+                let (value, w) = sorted_pour(&p, c, maximize);
+                let lane_w: Vec<f64> = (0..m).map(|j| scratch.w[j * POUR_LANES + t]).collect();
+                prop_assert_eq!(got[t].to_bits(), value.to_bits(), "value, lane {} of {}, max={} c={:?}", t, live, maximize, c);
+                prop_assert_eq!(bits(&lane_w), bits(&w), "argopt, lane {} of {}, max={} c={:?}", t, live, maximize, c);
             }
         }
     }
