@@ -62,16 +62,30 @@ fn simplex_lp_solve(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("max_slack_cold", n), &n, |b, &n| {
             b.iter(|| black_box(max_slack_lp(n, 0.0).solve().expect("solvable")));
         });
-        // The warm-start family: same skeleton, perturbed rows, one
-        // shared workspace — the potential-optimality solve pattern.
-        group.bench_with_input(BenchmarkId::new("max_slack_warm_chain", n), &n, |b, &n| {
+        // The same rows through the bounded-variable solver of the
+        // potential-optimality loop: closed-form start over the simplex,
+        // then half the rows appended warm.
+        group.bench_with_input(BenchmarkId::new("max_slack_bounded", n), &n, |b, &n| {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|k| {
+                    (0..n)
+                        .map(|j| ((j * 7 + k * 13) % 11) as f64 / 11.0 - 0.4)
+                        .collect()
+                })
+                .collect();
+            let polytope = WeightPolytope::full_simplex(n);
+            let key = vec![0.0; n];
             let mut ws = SolverWorkspace::new();
-            max_slack_lp(n, 0.0).solve_with(&mut ws).expect("solvable");
-            let mut step = 0usize;
             b.iter(|| {
-                step = (step + 1) % 8;
-                let lp = max_slack_lp(n, step as f64 * 0.003);
-                black_box(lp.solve_with(&mut ws).expect("solvable"))
+                ws.start(&polytope, &key);
+                for row in &rows[..n / 2] {
+                    ws.push_row(row);
+                }
+                ws.solve().expect("solvable");
+                for row in &rows[n / 2..] {
+                    ws.push_row(row);
+                }
+                black_box(ws.solve().expect("solvable"))
             });
         });
     }

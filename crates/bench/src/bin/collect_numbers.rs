@@ -15,13 +15,13 @@
 //!   (scalar reference vs batched SoA vs the scoped-thread fan-out) at
 //!   the paper's 10 000 trials;
 //! * **analysis_cycle** — the Section V discard pipeline (dominance →
-//!   potential optimality → intensity) on the blocked sweeps +
-//!   warm-started LP chain, with the warm-start pivot counters (pivots
-//!   per cold vs warm LP);
+//!   potential optimality → intensity) on the blocked sweeps + the
+//!   bounded-variable LP solver, with its counters (simplex steps per
+//!   cold solve vs per warm re-solve after working-set growth);
 //! * **incremental_whatif** — the interactive loop itself: one `set_perf`
 //!   edit followed by `discard_cycle_incremental` (touched rows/columns
 //!   re-swept, touched alternatives + dependents re-certified from their
-//!   per-alternative warm bases) against the full blocked cycle, after
+//!   previous working sets) against the full blocked cycle, after
 //!   asserting both produce the same verdicts;
 //! * **serving** — the `gmaa-serve` session service under a multi-tenant
 //!   mixed workload (80% `set_perf` + `Analyze`, 20% `MonteCarlo`, bursty
@@ -113,7 +113,7 @@ fn engine_bench(serving: &str) -> String {
     });
 
     // Section V discard cycle (dominance + potential + intensity): the
-    // blocked sweeps + warm-started LP chain.
+    // blocked sweeps + one max-slack LP per alternative.
     let cycle_engine = gmaa::AnalysisEngine::new(model.clone()).expect("valid");
     let cycle_optimized_ns = time_ns(20, || {
         std::hint::black_box(cycle_engine.discard_cycle().expect("solver healthy"));
@@ -169,8 +169,8 @@ fn engine_bench(serving: &str) -> String {
     };
     let (incr_cycle_ns, recertified_per_edit) = bench_edit(alt_of("Kanzaki Music"));
     let (incr_front_ns, recertified_front) = bench_edit(alt_of("Media Ontology"));
-    // Warm-start effectiveness over one fresh chain (first LP cold, the
-    // rest warm-started from the previous optimal basis).
+    // LP counters over one fresh certification pass (one cold solve per
+    // alternative, a warm re-solve per working-set growth).
     let stats_ctx = EvalContext::new(model.clone()).expect("valid");
     maut_sense::potentially_optimal_ctx(&stats_ctx).expect("solver healthy");
     let lp = stats_ctx.lp_stats();
@@ -629,7 +629,7 @@ fn serving_tcp_bench() -> String {
 }
 
 /// One `(family, n, m)` point of the scaling sweep: cold / warm /
-/// incremental discard-cycle timings, the LP warm-start and pivot
+/// incremental discard-cycle timings, the LP solve, warm-share and step
 /// counters behind the warm numbers — all from the point's fixed
 /// generator seed.
 fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {

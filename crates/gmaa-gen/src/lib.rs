@@ -50,7 +50,7 @@ pub enum Family {
     /// Frontrunner-heavy bands: one alternative holds top performances
     /// almost everywhere while the rest sit mid-band; the frontrunner
     /// enters every rival's LP working set, stressing constraint
-    /// generation and warm-basis reuse.
+    /// generation.
     FrontrunnerHeavy,
 }
 

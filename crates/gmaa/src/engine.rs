@@ -60,7 +60,7 @@ pub struct Analysis {
 pub struct DiscardCycle {
     /// Alternatives no other alternative dominates.
     pub non_dominated: Vec<usize>,
-    /// Per-alternative potential-optimality verdicts (warm-started LPs).
+    /// Per-alternative potential-optimality verdicts.
     pub potential: Vec<PotentialOutcome>,
     /// The complete ranking by dominance intensity (ref \[25\]).
     pub intensity: Vec<IntensityRank>,
@@ -222,8 +222,8 @@ impl AnalysisEngine {
     }
 
     /// Cumulative LP solver counters of the shared context — solves,
-    /// warm-started solves, and pivots split cold/warm. The warm-start
-    /// effectiveness numbers in `BENCH_engine.json` read these.
+    /// warm re-solves after working-set growth, and simplex steps split
+    /// cold/warm. The LP numbers in `BENCH_engine.json` read these.
     pub fn lp_stats(&self) -> maut_sense::simplex_lp::SolveStats {
         self.ctx.lp_stats()
     }
@@ -300,8 +300,8 @@ impl AnalysisEngine {
         dominance::non_dominated_ctx(&self.ctx)
     }
 
-    /// Potential-optimality verdicts (one warm-started LP per
-    /// alternative). The error arm fires only on solver breakdown, never
+    /// Potential-optimality verdicts (one max-slack LP per alternative,
+    /// grown warm by constraint generation). The error arm fires only on solver breakdown, never
     /// on legitimate analysis outcomes — see [`maut_sense::potential`].
     pub fn potentially_optimal(&self) -> Result<Vec<PotentialOutcome>, LpError> {
         potential::potentially_optimal_ctx(&self.ctx)
@@ -314,8 +314,8 @@ impl AnalysisEngine {
 
     /// The Section V discard pipeline — dominance, potential optimality
     /// and dominance-intensity — in one call against the shared context
-    /// (the hot cycle the blocked sweeps and the warm-started LP chain
-    /// accelerate). Stateless: always a full recompute; the what-if loop
+    /// (the hot cycle the blocked sweeps and the bounded-variable LP
+    /// solver accelerate). Stateless: always a full recompute; the what-if loop
     /// should prefer [`AnalysisEngine::discard_cycle_incremental`].
     pub fn discard_cycle(&self) -> Result<DiscardCycle, LpError> {
         // One blocked sweep yields every pairwise dominance interval; the
@@ -337,7 +337,7 @@ impl AnalysisEngine {
     /// ([`maut_sense::IntervalMatrix::update`])
     /// and only the touched alternatives plus their dependents are
     /// re-certified ([`maut_sense::potential::certify_incremental_ctx`],
-    /// warm-starting each from its own cached basis). Falls back to a
+    /// each seeded with its previous working set). Falls back to a
     /// full recompute — transparently, same results — when there is no
     /// cached cycle yet, the weight side changed (every pair invalidated),
     /// or the dirty set covers half the alternatives or more (pair-level
@@ -645,7 +645,7 @@ mod tests {
         // The serving layer snapshots sessions through `model()` + serde,
         // never through `Clone` — but `AnalysisEngine` is `Clone`, so the
         // PR-4 guarantee must hold at this level too: a clone gets a fresh
-        // LP workspace (zeroed SolveStats, no inherited warm bases) *and*
+        // LP workspace (zeroed SolveStats) *and*
         // zeroed CycleStats, not a copy that mis-attributes the parent's
         // pivots or cycles to an engine that has served nothing.
         let mut e = engine();

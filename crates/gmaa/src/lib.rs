@@ -41,8 +41,9 @@
 //!
 //! // What-if: fill in a missing cell and re-analyze *incrementally* —
 //! // one row is re-scored, the touched dominance pairs re-optimized, the
-//! // touched potential-optimality certificates re-solved from their own
-//! // warm bases; everything else is served from the engine's caches.
+//! // touched potential-optimality certificates re-solved from their
+//! // previous working sets; everything else is served from the engine's
+//! // caches.
 //! let nokia = 17;
 //! let financ = engine.model().find_attribute("financ_cost").unwrap();
 //! engine.set_perf(nokia, financ, Perf::level(2)).unwrap();

@@ -12,8 +12,9 @@
 //! * [`potential`] — **potentially optimal** alternatives: those that are
 //!   best for at least one admissible combination of weights and component
 //!   utilities (the paper discards 3 of its 23 candidates this way), solved
-//!   as a warm-started linear-program chain over the context's shared
-//!   [`simplex_lp::SolverWorkspace`];
+//!   as one max-slack linear program per alternative on the context's
+//!   shared [`simplex_lp::SolverWorkspace`], grown warm by constraint
+//!   generation;
 //! * [`intensity`] — the pairwise **dominance intervals** as one flat
 //!   matrix (a blocked sweep over the columnar band matrix, updated in
 //!   place after edits) and the **dominance intensity** ranking of

@@ -35,10 +35,7 @@
 //! * every successful [`EvalContext::set_perf`] adds its alternative to
 //!   the set; rejected mutations add nothing;
 //! * every successful [`EvalContext::set_weight`] raises the weight flag
-//!   (and, as before, rebuilds the polytope and invalidates the LP
-//!   workspace's warm bases — including the per-alternative
-//!   [`simplex_lp::BasisCache`], whose stashed bases belonged to the old
-//!   polytope);
+//!   (and, as before, rebuilds the polytope);
 //! * `take_analysis_dirty` drains both atomically, so a consumer that
 //!   updates its cached analysis by exactly the drained delta (the
 //!   `gmaa::AnalysisEngine` incremental discard cycle) stays coherent
@@ -126,13 +123,10 @@ pub struct EvalContext {
     /// `set_perf` leaves it untouched.
     polytope: WeightPolytope,
     /// Shared LP solver workspace: the potential-optimality loop reuses
-    /// its tableau buffers and warm-starts each alternative's LP from the
-    /// previous optimal basis (and from a per-alternative basis cache on
-    /// re-certification). Behind a mutex because analyses take
-    /// `&EvalContext` (and share it across scoped threads); a stale basis
-    /// is only ever a performance hint, so no invalidation is needed for
-    /// correctness — `set_weight` still clears it since the old optimum
-    /// is no longer a useful guess.
+    /// its tableau buffers for every alternative's LP and reads the solve
+    /// counters off it. Behind a mutex because analyses take
+    /// `&EvalContext`. Each LP starts from a closed form, so no state in
+    /// it outlives a solve loop and nothing needs invalidating.
     lp_workspace: Mutex<SolverWorkspace>,
     /// Pair-level invalidation state for the incremental discard cycle:
     /// alternatives whose band rows changed since the last
@@ -161,10 +155,7 @@ impl Clone for EvalContext {
             polytope: self.polytope.clone(),
             // A fresh workspace, not a copy: the clone's SolveStats must
             // start at zero (copying would attribute the parent's pivots
-            // to the clone) and the parent's warm bases belong to the
-            // parent's solve history, not the clone's. Warm starting is
-            // only a hint, so the clone merely solves its first chain
-            // cold — results are identical.
+            // to the clone).
             lp_workspace: Mutex::new(SolverWorkspace::new()),
             analysis_dirty: self.analysis_dirty.clone(),
             weights_dirty: self.weights_dirty,
@@ -249,16 +240,17 @@ impl EvalContext {
     }
 
     /// Exclusive access to the shared LP solver workspace (tableau
-    /// buffers + warm-start basis + per-alternative stashed bases + pivot
-    /// counters). Analyses lock it once per sweep and solve on it inline.
+    /// buffers + solve counters). Analyses lock it once per sweep and
+    /// solve on it inline.
     pub fn lp_workspace(&self) -> MutexGuard<'_, SolverWorkspace> {
         self.lp_workspace
             .lock()
             .expect("LP workspace lock poisoned")
     }
 
-    /// Cumulative LP solve counters (solves, warm starts, pivots split
-    /// cold/warm) across every analysis run against this context.
+    /// Cumulative LP solve counters (solves, warm re-solves after row
+    /// growth, simplex steps split cold/warm) across every analysis run
+    /// against this context.
     pub fn lp_stats(&self) -> SolveStats {
         self.lp_workspace().stats()
     }
@@ -438,17 +430,8 @@ impl EvalContext {
         self.scope_weights.clear();
         self.eval_cache.clear();
         self.cache_scope_weights(self.model.tree.root());
-        // The polytope is a pure function of the weight side; the LP
-        // workspace's saved basis belonged to the old polytope bounds, so
-        // drop it (a warm attempt against the new bounds would only be a
-        // wasted refactorization).
+        // The polytope is a pure function of the weight side.
         self.polytope = polytope_of(self.weights());
-        // invalidate() also drops the per-alternative basis cache: every
-        // stashed basis belonged to the old polytope bounds.
-        self.lp_workspace
-            .get_mut()
-            .expect("LP workspace lock poisoned")
-            .invalidate();
         self.weights_dirty = true;
         Ok(())
     }
@@ -660,29 +643,26 @@ mod tests {
 
     #[test]
     fn cloned_context_gets_a_fresh_lp_workspace() {
-        // Regression: a clone must start with zeroed SolveStats and must
-        // not inherit the parent's warm bases — a copied workspace
-        // attributed the parent's pivots to the clone and let the clone
-        // warm-start from solves it never ran.
-        use simplex_lp::{LinearProgram, Objective, Relation};
+        // Regression: a clone must start with zeroed SolveStats — a
+        // copied workspace attributed the parent's pivots to the clone.
         let ctx = EvalContext::new(model()).unwrap();
-        let mut lp = LinearProgram::new(2, Objective::Maximize);
-        lp.set_objective(&[1.0, 1.0]);
-        lp.add_constraint(&[1.0, 2.0], Relation::Le, 4.0);
-        lp.solve_with(&mut ctx.lp_workspace()).unwrap();
-        ctx.lp_workspace().stash_basis(0);
+        let solve = |c: &EvalContext| {
+            let m = c.polytope().dim();
+            let row: Vec<f64> = (0..m).map(|j| 0.5 - j as f64 / m as f64).collect();
+            let mut ws = c.lp_workspace();
+            ws.start(c.polytope(), &vec![0.0; m]);
+            ws.push_row(&row);
+            ws.solve().unwrap()
+        };
+        let t = solve(&ctx);
         assert_eq!(ctx.lp_stats().solves, 1);
 
         let cloned = ctx.clone();
         assert_eq!(cloned.lp_stats(), simplex_lp::SolveStats::default());
-        assert!(cloned.lp_workspace().basis_cache().is_empty());
-        // No shared basis either: the clone's first solve runs cold even
-        // though the parent just solved this exact shape.
-        let sol = lp.solve_with(&mut cloned.lp_workspace()).unwrap();
-        assert!(!sol.warm);
+        assert_eq!(solve(&cloned), t);
         assert_eq!(cloned.lp_stats().solves, 1);
         // And the workspaces stay independent afterwards.
-        lp.solve_with(&mut ctx.lp_workspace()).unwrap();
+        solve(&ctx);
         assert_eq!(ctx.lp_stats().solves, 2);
         assert_eq!(cloned.lp_stats().solves, 1);
     }

@@ -1,21 +1,23 @@
 //! # simplex-lp
 //!
-//! A small, dependency-free, dense **two-phase simplex** linear-programming
-//! solver.
+//! A small, dependency-free, dense simplex linear-programming library.
 //!
 //! This crate is the optimization substrate for the imprecise-MAUT
-//! sensitivity analyses of the GMAA reproduction (dominance and potential
-//! optimality are decided by minimizing / maximizing linear functionals over
-//! the *weight polytope* `{ w : low ≤ w ≤ upp, Σ w = 1 }`), but it is a
-//! general-purpose LP solver:
+//! sensitivity analyses of the GMAA reproduction: dominance and potential
+//! optimality are decided by optimizing linear functionals over the
+//! *weight polytope* `{ w : low ≤ w ≤ upp, Σ w = 1 }`. It has three parts:
 //!
-//! * minimize or maximize a linear objective,
-//! * `≤`, `≥` and `=` constraints,
-//! * per-variable lower/upper bounds (including free variables),
-//! * exact infeasibility / unboundedness detection,
-//! * Bland's anti-cycling rule as a fallback after a Dantzig-rule phase,
-//! * **workspace reuse and warm starting** for solve loops over families
-//!   of structurally similar programs.
+//! * [`WeightPolytope`]: exact greedy pours for linear functionals over
+//!   the polytope (the dominance and intensity sweeps);
+//! * [`SolverWorkspace`]: a bounded-variable simplex for the one LP family
+//!   the potential-optimality certification solves, `max t` subject to
+//!   rival rows `c_k·w ≥ t` over the polytope. Bounds are handled in the
+//!   ratio test, the start is closed-form, and rows appended to an
+//!   optimal tableau re-optimize warm by dual simplex steps;
+//! * [`LinearProgram`]: a general two-phase simplex (`≤`, `≥`, `=` rows,
+//!   boxed, fixed and free variables, infeasibility and unboundedness
+//!   detection, Bland's rule after a Dantzig phase). Every solve is cold.
+//!   It is the reference the other two are tested against.
 //!
 //! ## Example
 //!
@@ -32,52 +34,25 @@
 //! assert!((sol.objective - 12.0).abs() < 1e-9); // x=4, y=0
 //! ```
 //!
-//! ## Workspace reuse and warm starting
+//! ## Warm row growth
 //!
-//! [`LinearProgram::solve`] allocates fresh tableau storage per call.
-//! Solve loops — the sensitivity analyses solve one LP per alternative,
-//! all sharing the same bounds and normalization row — should instead
-//! hold a [`SolverWorkspace`] and call
-//! [`LinearProgram::solve_with`]:
+//! Constraint generation solves the max-slack LP over a small working set
+//! of rival rows, then appends the rows the optimum violates. A
+//! [`SolverWorkspace`] keeps the optimal tableau between those solves:
 //!
-//! * **Buffer reuse.** The standard-form scratch, the dense tableau and
-//!   the basis vector live in the workspace and are resized in place, so
-//!   after the first solve of a given shape subsequent solves perform no
-//!   allocation.
-//! * **Warm start.** After each optimal solve the workspace remembers the
-//!   optimal basis. When the next program has the same standard-form
-//!   shape (row count and structural column count — mutate rows in place
-//!   with [`LinearProgram::set_constraint`] to keep it), the solver
-//!   refactorizes that basis against the new coefficients; if it is still
-//!   non-singular and primal feasible the whole phase-1 artificial pass
-//!   is skipped and the solve typically finishes in a handful of pivots.
-//!   [`Solution::warm`] reports whether that happened.
-//! * **Verdicts are workspace-independent.** A saved basis that turns
-//!   out singular or infeasible for the new coefficients silently falls
-//!   back to the cold two-phase path; statuses never depend on the
-//!   workspace's history. Optimal *objective values* agree only to
-//!   floating-point roundoff: a warm solve may walk a different pivot
-//!   sequence to the same vertex, so the low bits of an optimum depend on
-//!   the chain of solves before it.
+//! * **Closed-form start.** [`SolverWorkspace::start`] puts `w` on a
+//!   vertex of the polytope; the first solve drops `t` onto the tightest
+//!   row, which is primal feasible, so there is no phase 1.
+//! * **Warm growth.** [`SolverWorkspace::push_row`] writes a new row in
+//!   the current basis with its slack basic. The basis stays dual
+//!   feasible, so the next solve takes dual simplex steps from it.
+//!   [`SolveStats::warm_solves`] counts these re-solves.
+//! * **Buffer reuse.** The tableau and its index maps are resized in
+//!   place, so a solve loop allocates nothing once its largest LP is
+//!   reached.
 //! * **Accounting.** [`SolverWorkspace::stats`] exposes cumulative
-//!   [`SolveStats`] — solves, warm-started solves, and pivots split
-//!   cold/warm — which the engine benches surface as pivots-per-LP.
-//!
-//! ```
-//! use simplex_lp::{LinearProgram, Objective, Relation, SolverWorkspace};
-//!
-//! let mut ws = SolverWorkspace::new();
-//! let mut lp = LinearProgram::new(2, Objective::Maximize);
-//! lp.set_objective(&[1.0, 1.0]);
-//! lp.add_constraint(&[1.0, 2.0], Relation::Le, 4.0);
-//! let a = lp.solve_with(&mut ws).unwrap();
-//! assert!(!a.warm);
-//! // Same skeleton, new coefficients: reuses the optimal basis.
-//! lp.set_constraint(0, &[1.0, 2.5], Relation::Le, 4.0);
-//! let b = lp.solve_with(&mut ws).unwrap();
-//! assert!(b.warm);
-//! assert_eq!(ws.stats().solves, 2);
-//! ```
+//!   [`SolveStats`]: solves, warm solves, and simplex steps (basis changes
+//!   and bound flips) split cold/warm.
 
 #![warn(missing_docs)]
 
@@ -92,7 +67,7 @@ pub use error::LpError;
 pub use polytope::{minimize_via_lp, GreedyScratch, WeightPolytope, POUR_LANES};
 pub use problem::{Bound, Constraint, LinearProgram, Objective, Relation};
 pub use solver::{Solution, Status};
-pub use workspace::{BasisCache, SolveStats, SolverWorkspace};
+pub use workspace::{SolveStats, SolverWorkspace};
 
 /// Numerical tolerance used throughout the solver for feasibility and
 /// optimality tests. Problems in this workspace are small (tens of

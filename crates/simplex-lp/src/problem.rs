@@ -1,6 +1,5 @@
 use crate::error::LpError;
 use crate::solver::{self, Solution};
-use crate::workspace::SolverWorkspace;
 
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,24 +126,6 @@ impl LinearProgram {
         self
     }
 
-    /// Overwrite constraint `index` in place (no allocation) — the
-    /// workhorse of solve loops that sweep a family of LPs sharing one
-    /// skeleton, such as the potential-optimality analysis.
-    pub fn set_constraint(
-        &mut self,
-        index: usize,
-        coeffs: &[f64],
-        relation: Relation,
-        rhs: f64,
-    ) -> &mut Self {
-        assert_eq!(coeffs.len(), self.n, "constraint length mismatch");
-        let con = &mut self.constraints[index];
-        con.coeffs.copy_from_slice(coeffs);
-        con.relation = relation;
-        con.rhs = rhs;
-        self
-    }
-
     /// Validate the model (dimensions, finiteness, bound sanity).
     pub fn validate(&self) -> Result<(), LpError> {
         if self.n == 0 {
@@ -186,21 +167,10 @@ impl LinearProgram {
         Ok(())
     }
 
-    /// Solve the program with the two-phase simplex method (a fresh,
-    /// single-use workspace; see [`LinearProgram::solve_with`] to reuse
-    /// buffers and warm-start across solves).
+    /// Solve the program cold with the two-phase simplex method.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&mut SolverWorkspace::new())
-    }
-
-    /// Solve reusing `workspace`'s buffers, warm-starting from the
-    /// previous optimal basis when the standard-form shape matches (see
-    /// [`SolverWorkspace`]). Results are independent of the workspace's
-    /// history — a stale or useless basis only costs a fallback to the
-    /// cold two-phase path.
-    pub fn solve_with(&self, workspace: &mut SolverWorkspace) -> Result<Solution, LpError> {
         self.validate()?;
-        solver::solve_with(self, workspace)
+        solver::solve(self)
     }
 }
 

@@ -1,33 +1,40 @@
-//! Two-phase simplex driver over a reusable [`SolverWorkspace`]:
-//! standard-form conversion, an optional warm start from the workspace's
-//! saved basis, phase 1 (artificial variables), phase 2, and solution
-//! extraction back in the user's variable space.
+//! The general two-phase simplex behind [`LinearProgram::solve`]:
+//! standard-form conversion, phase 1 (artificial variables), phase 2, and
+//! solution extraction back in the user's variable space.
 //!
-//! ## Warm start
-//!
-//! [`solve_with`] first checks whether the workspace carries the optimal
-//! basis of a previous solve with the *same standard-form shape* (row
-//! count and structural column count). If so, it rebuilds the equality
-//! system with the new coefficients, refactorizes that basis by
-//! Gauss-Jordan elimination, and — when the basis is still non-singular
-//! and primal feasible — proceeds straight to phase 2 from there. In the
-//! potential-optimality loop, consecutive LPs differ only in their
-//! pairwise-difference rows, so this converges in a handful of pivots
-//! instead of a full two-phase run. Any singular or infeasible saved
-//! basis silently falls back to the cold path, so warm starting never
-//! changes a status or a verdict built on one; the optimum itself agrees
-//! only to floating-point roundoff, and its low bits depend on which
-//! bases the chain passed through before.
+//! Every solve runs cold on buffers of its own. Production code solves
+//! only the potential-optimality family, through the bounded-variable
+//! [`crate::SolverWorkspace`]; this path is the reference it is checked
+//! against, and the LP behind [`crate::minimize_via_lp`].
 
 use crate::error::LpError;
 use crate::problem::{LinearProgram, Objective, Relation};
 use crate::tableau::Tableau;
-use crate::workspace::{SolverWorkspace, VarMap};
 use crate::EPS;
 
-/// Refactorization pivots below this magnitude mark the saved basis
-/// singular for the new coefficients; the solver then falls back cold.
-const WARM_PIVOT_TOL: f64 = 1e-7;
+/// How a user variable maps into the non-negative internal space.
+#[derive(Debug, Clone, Copy)]
+enum VarMap {
+    /// `x = lower + x'[col]`, optionally with an upper-bound row added.
+    Shifted { col: usize, lower: f64 },
+    /// `x = upper - x'[col]` (only an upper bound is finite).
+    Mirrored { col: usize, upper: f64 },
+    /// `x = x'[pos] - x'[neg]` (free variable split).
+    Split { pos: usize, neg: usize },
+}
+
+/// The buffers of one solve: standard form, variable maps and tableau.
+#[derive(Default)]
+struct Work {
+    t: Tableau,
+    /// Standard-form rows, flattened `m × n_internal`.
+    sf_coeffs: Vec<f64>,
+    sf_rel: Vec<Relation>,
+    sf_rhs: Vec<f64>,
+    /// Internal minimization objective over structural variables.
+    cost: Vec<f64>,
+    maps: Vec<VarMap>,
+}
 
 /// Outcome category of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +47,7 @@ pub enum Status {
     Unbounded,
 }
 
-/// Result of [`LinearProgram::solve`] / [`LinearProgram::solve_with`].
+/// Result of [`LinearProgram::solve`].
 #[derive(Debug, Clone)]
 pub struct Solution {
     /// Optimal / infeasible / unbounded.
@@ -53,10 +60,6 @@ pub struct Solution {
     pub x: Vec<f64>,
     /// Number of simplex pivots performed (both phases).
     pub pivots: usize,
-    /// Whether this solve started from a reused basis (see
-    /// [`crate::SolverWorkspace`]). Always `false` for cold solves and
-    /// for warm attempts that fell back.
-    pub warm: bool,
 }
 
 impl Solution {
@@ -66,15 +69,14 @@ impl Solution {
             objective: f64::NAN,
             x: Vec::new(),
             pivots: 0,
-            warm: false,
         }
     }
 }
 
 /// Translate bounds and direction into `min c'·x', A'x' REL b', x' ≥ 0`,
-/// writing everything into the workspace's flat standard-form buffers.
+/// writing everything into the flat standard-form buffers of `ws`.
 /// Returns the internal (structural) variable count.
-fn build_standard_form(lp: &LinearProgram, ws: &mut SolverWorkspace) -> usize {
+fn build_standard_form(lp: &LinearProgram, ws: &mut Work) -> usize {
     let sign = match lp.direction {
         Objective::Minimize => 1.0,
         Objective::Maximize => -1.0,
@@ -221,139 +223,33 @@ fn price_out_objective(t: &mut Tableau, cost: &[f64]) {
     }
 }
 
-/// Attempt a warm solve from the workspace's saved basis. Returns `None`
-/// when the basis is singular or infeasible for the new coefficients (the
-/// caller then runs the cold path).
-#[allow(clippy::too_many_arguments)]
-fn warm_solve(
-    lp: &LinearProgram,
-    ws: &mut SolverWorkspace,
-    m: usize,
-    n: usize,
-    total_structural: usize,
-) -> Option<Result<Solution, LpError>> {
-    ws.t.reset(m, total_structural);
-    let mut next_slack = n;
-    for ri in 0..m {
-        let rel = ws.sf_rel[ri];
-        let rhs = ws.sf_rhs[ri];
-        let coeffs = &ws.sf_coeffs[ri * n..(ri + 1) * n];
-        let row = ws.t.row_mut(ri);
-        row[..n].copy_from_slice(coeffs);
-        match rel {
-            Relation::Le => {
-                row[next_slack] = 1.0;
-                next_slack += 1;
-            }
-            Relation::Ge => {
-                row[next_slack] = -1.0;
-                next_slack += 1;
-            }
-            Relation::Eq => {}
-        }
-        row[total_structural] = rhs;
-    }
-
-    // Refactorize the saved basis. The basis is a *set* of columns; the
-    // saved row pairing need not admit a zero-free diagonal against the
-    // new coefficients, so each column picks its pivot row greedily among
-    // the rows not yet claimed (partial pivoting). A basis that is
-    // singular for the new coefficients surfaces as no usable pivot.
-    ws.row_used.clear();
-    ws.row_used.resize(m, false);
-    for idx in 0..m {
-        let col = ws.saved_basis[idx];
-        if col >= total_structural {
-            return None;
-        }
-        let mut best_r = usize::MAX;
-        let mut best = WARM_PIVOT_TOL;
-        for r in 0..m {
-            if !ws.row_used[r] {
-                let v = ws.t.get(r, col).abs();
-                if v > best {
-                    best = v;
-                    best_r = r;
-                }
-            }
-        }
-        if best_r == usize::MAX {
-            return None; // singular for the new coefficients
-        }
-        ws.row_used[best_r] = true;
-        ws.t.pivot(best_r, col);
-    }
-    // Primal feasible?
-    for r in 0..m {
-        if ws.t.rhs(r) < -EPS {
-            return None;
-        }
-    }
-    for r in 0..m {
-        if ws.t.rhs(r) < 0.0 {
-            ws.t.set_rhs(r, 0.0);
-        }
-    }
-
-    price_out_objective(&mut ws.t, &ws.cost);
-    let mut pivots = 0usize;
-    let max_pivots = 2000 + 50 * (total_structural + m);
-    let optimal = match pivot_loop(&mut ws.t, &mut pivots, max_pivots) {
-        Ok(o) => o,
-        // A degenerate saved basis can stall the pivot loop; fall back to
-        // the cold two-phase path so outcomes never depend on workspace
-        // history (the contract in the crate docs).
-        Err(_) => return None,
-    };
-    ws.record(true, pivots);
-    if !optimal {
-        return Some(Ok(Solution {
-            pivots,
-            warm: true,
-            ..Solution::non_optimal(Status::Unbounded)
-        }));
-    }
-    ws.save_basis(m, total_structural);
-    Some(Ok(extract(lp, ws, n, pivots, true)))
-}
-
-pub(crate) fn solve_with(
-    lp: &LinearProgram,
-    ws: &mut SolverWorkspace,
-) -> Result<Solution, LpError> {
+pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
+    let ws = &mut Work::default();
     let n = build_standard_form(lp, ws);
     let m = ws.sf_rel.len();
     let n_slack = ws.sf_rel.iter().filter(|r| **r != Relation::Eq).count();
     let total_structural = n + n_slack;
 
-    // ---- Warm attempt ----
-    if ws.has_saved(m, total_structural) {
-        if let Some(result) = warm_solve(lp, ws, m, n, total_structural) {
-            return result;
-        }
-    }
-
-    // ---- Cold two-phase path ----
     // Build the equality system with rhs ≥ 0; slacks whose coefficient
     // stays +1 after the sign flip seed the basis, the rest of the rows
     // get artificial columns.
-    ws.artificial_rows.clear();
-    for ri in 0..m {
-        let flip = ws.sf_rhs[ri] < 0.0;
-        ws.artificial_rows.push(match ws.sf_rel[ri] {
-            Relation::Le => flip,
-            Relation::Ge => !flip,
-            Relation::Eq => true,
-        });
-    }
-    let n_art = ws.artificial_rows.iter().filter(|&&a| a).count();
+    let artificial_rows: Vec<bool> = (0..m)
+        .map(|ri| {
+            let flip = ws.sf_rhs[ri] < 0.0;
+            match ws.sf_rel[ri] {
+                Relation::Le => flip,
+                Relation::Ge => !flip,
+                Relation::Eq => true,
+            }
+        })
+        .collect();
+    let n_art = artificial_rows.iter().filter(|&&a| a).count();
     let cols = total_structural + n_art;
 
     ws.t.reset(m, cols);
     let mut next_slack = n;
     let mut next_art = total_structural;
-    for ri in 0..m {
-        let artificial = ws.artificial_rows[ri];
+    for (ri, &artificial) in artificial_rows.iter().enumerate() {
         let rel = ws.sf_rel[ri];
         let flip = ws.sf_rhs[ri] < 0.0;
         let sign = if flip { -1.0 } else { 1.0 };
@@ -397,31 +293,22 @@ pub(crate) fn solve_with(
             ws.t.z[total_structural + k] = 1.0;
         }
         // Price out the artificial basics: z_row -= sum of their rows.
-        for ri in 0..m {
-            if ws.artificial_rows[ri] {
-                let (row, z) = ws.t.row_and_z_mut(ri);
-                for (zj, &v) in z.iter_mut().zip(row) {
-                    *zj -= v;
-                }
+        for (ri, _) in artificial_rows.iter().enumerate().filter(|(_, &a)| a) {
+            let (row, z) = ws.t.row_and_z_mut(ri);
+            for (zj, &v) in z.iter_mut().zip(row) {
+                *zj -= v;
             }
         }
-        let optimal = match pivot_loop(&mut ws.t, &mut pivots, max_pivots) {
-            Ok(o) => o,
-            Err(e) => {
-                ws.record(false, pivots);
-                return Err(e);
-            }
-        };
+        let optimal = pivot_loop(&mut ws.t, &mut pivots, max_pivots)?;
         debug_assert!(optimal, "phase-1 objective is bounded below by 0");
         if ws.t.objective_value() > 1e-7 {
-            ws.record(false, pivots);
             return Ok(Solution {
                 pivots,
                 ..Solution::non_optimal(Status::Infeasible)
             });
         }
         // Drive remaining artificial variables out of the basis.
-        ws.drop_rows.clear();
+        let mut drop_rows = Vec::new();
         for r in 0..ws.t.num_rows() {
             if ws.t.basis[r] >= total_structural {
                 let piv = (0..total_structural).find(|&j| ws.t.get(r, j).abs() > 1e-7);
@@ -430,52 +317,33 @@ pub(crate) fn solve_with(
                         ws.t.pivot(r, j);
                         pivots += 1;
                     }
-                    None => ws.drop_rows.push(r), // redundant constraint
+                    None => drop_rows.push(r), // redundant constraint
                 }
             }
         }
-        let drop = std::mem::take(&mut ws.drop_rows);
-        ws.t.remove_rows(&drop);
-        ws.drop_rows = drop;
+        ws.t.remove_rows(&drop_rows);
         // Continue in phase 2 without the artificial columns.
         ws.t.shrink_cols(total_structural);
     }
 
     // ---- Phase 2 (or single phase when no artificials were needed) ----
     price_out_objective(&mut ws.t, &ws.cost);
-    let optimal = match pivot_loop(&mut ws.t, &mut pivots, max_pivots) {
-        Ok(o) => o,
-        Err(e) => {
-            ws.record(false, pivots);
-            return Err(e);
-        }
-    };
-    ws.record(false, pivots);
-    if !optimal {
+    if !pivot_loop(&mut ws.t, &mut pivots, max_pivots)? {
         return Ok(Solution {
             pivots,
             ..Solution::non_optimal(Status::Unbounded)
         });
     }
-    ws.save_basis(ws.t.num_rows(), total_structural);
-    Ok(extract(lp, ws, n, pivots, false))
+    Ok(extract(lp, ws, n, pivots))
 }
 
 /// Map the internal primal solution back to user variables and recompute
 /// the objective in the user's direction from first principles. (The
 /// returned `x` is the one allocation a solve necessarily makes — it is
 /// handed to the caller.)
-fn extract(
-    lp: &LinearProgram,
-    ws: &mut SolverWorkspace,
-    n: usize,
-    pivots: usize,
-    warm: bool,
-) -> Solution {
-    ws.xi.clear();
-    ws.xi.resize(n, 0.0);
-    ws.t.primal_into(&mut ws.xi);
-    let xi = &ws.xi;
+fn extract(lp: &LinearProgram, ws: &Work, n: usize, pivots: usize) -> Solution {
+    let mut xi = vec![0.0; n];
+    ws.t.primal_into(&mut xi);
     let mut x = vec![0.0; lp.n];
     for (i, map) in ws.maps.iter().enumerate() {
         x[i] = match *map {
@@ -490,7 +358,6 @@ fn extract(
         objective,
         x,
         pivots,
-        warm,
     }
 }
 
@@ -498,7 +365,7 @@ fn extract(
 mod tests {
     use super::*;
     use crate::problem::{Bound, LinearProgram};
-    use crate::workspace::SolverWorkspace;
+    use crate::{SolverWorkspace, WeightPolytope};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} vs {b}");
@@ -515,7 +382,6 @@ mod tests {
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 20.0);
         assert_close(sol.x[0], 10.0);
-        assert!(!sol.warm);
     }
 
     #[test]
@@ -662,138 +528,98 @@ mod tests {
         assert_close(max.objective, -min.objective);
     }
 
-    // ------------------------------------------------- warm-start contract
+    // ------------------------------- the max-slack solver against this one
 
-    /// A potential-optimality-shaped LP: max t over the boxed simplex with
-    /// pairwise difference rows derived from `shift`.
-    fn max_slack_lp(n: usize, shift: f64) -> LinearProgram {
+    /// `n` rival rows over `n` weights, perturbed by `shift`.
+    fn max_slack_rows(n: usize, shift: f64) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|k| {
+                (0..n)
+                    .map(|j| ((j * 7 + k * 13) % 11) as f64 / 11.0 - 0.4 + shift)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The max-slack LP over `p` with rival rows `rows`, as a general
+    /// program (`t ∈ [−2, 2]`).
+    fn max_slack_lp(p: &WeightPolytope, rows: &[Vec<f64>]) -> LinearProgram {
+        let n = p.dim();
         let mut lp = LinearProgram::new(n + 1, Objective::Maximize);
         let mut obj = vec![0.0; n + 1];
         obj[n] = 1.0;
         lp.set_objective(&obj);
         for j in 0..n {
-            lp.set_bound(j, Bound::boxed(0.05, 0.8));
+            lp.set_bound(j, Bound::boxed(p.lower()[j], p.upper()[j]));
         }
         lp.set_bound(n, Bound::boxed(-2.0, 2.0));
         let mut norm = vec![1.0; n + 1];
         norm[n] = 0.0;
         lp.add_constraint(&norm, Relation::Eq, 1.0);
-        for k in 0..n {
-            let mut row = vec![0.0; n + 1];
-            for (j, r) in row.iter_mut().enumerate().take(n) {
-                *r = ((j * 7 + k * 13) % 11) as f64 / 11.0 - 0.4 + shift;
-            }
-            row[n] = -1.0;
+        for c in rows {
+            let mut row = c.clone();
+            row.push(-1.0);
             lp.add_constraint(&row, Relation::Ge, 0.0);
         }
         lp
     }
 
+    fn boxed(n: usize) -> WeightPolytope {
+        WeightPolytope::new(&vec![0.05; n], &vec![0.8; n]).unwrap()
+    }
+
     #[test]
     fn warm_start_matches_cold_and_saves_pivots() {
+        // Rows appended one at a time to the optimal tableau re-optimize
+        // warm, agree with a cold two-phase solve of the grown program,
+        // and take fewer steps than solving each grown program from the
+        // start.
+        let p = boxed(8);
+        let rows = max_slack_rows(8, 0.02);
         let mut ws = SolverWorkspace::new();
-        let mut cold_pivots = 0usize;
-        let mut warm_pivots = 0usize;
-        for step in 0..6 {
-            let lp = max_slack_lp(8, step as f64 * 0.01);
-            let cold = lp.solve().unwrap();
-            let sol = lp.solve_with(&mut ws).unwrap();
-            assert_eq!(sol.status, cold.status);
-            assert_close(sol.objective, cold.objective);
-            if step == 0 {
-                assert!(!sol.warm);
-                cold_pivots = sol.pivots;
-            } else {
-                assert!(sol.warm, "step {step} should warm start");
-                warm_pivots = warm_pivots.max(sol.pivots);
+        let mut fresh = SolverWorkspace::new();
+        ws.start(&p, &[0.0; 8]);
+        ws.push_row(&rows[0]);
+        ws.solve().unwrap();
+        for k in 1..rows.len() {
+            ws.push_row(&rows[k]);
+            let t = ws.solve().unwrap();
+            let cold = max_slack_lp(&p, &rows[..=k]).solve().unwrap();
+            assert_eq!(cold.status, Status::Optimal);
+            assert_close(t, cold.objective);
+            fresh.start(&p, &[0.0; 8]);
+            for c in &rows[..=k] {
+                fresh.push_row(c);
             }
+            assert_close(fresh.solve().unwrap(), t);
         }
-        assert!(
-            warm_pivots < cold_pivots,
-            "warm {warm_pivots} vs cold {cold_pivots}"
-        );
         let stats = ws.stats();
-        assert_eq!(stats.solves, 6);
-        assert_eq!(stats.warm_solves, 5);
+        assert_eq!((stats.solves, stats.warm_solves), (8, 7));
         assert_eq!(stats.pivots, stats.warm_pivots + stats.cold_pivots);
+        assert!(
+            stats.warm_pivots < fresh.stats().cold_pivots,
+            "warm {stats:?} vs fresh {:?}",
+            fresh.stats()
+        );
     }
 
     #[test]
     fn shape_change_falls_back_to_cold() {
+        // A new start of another dimension discards the old tableau: its
+        // first solve is cold and agrees with the two-phase solve.
         let mut ws = SolverWorkspace::new();
-        let a = max_slack_lp(8, 0.0);
-        a.solve_with(&mut ws).unwrap();
-        let b = max_slack_lp(5, 0.0); // different shape
-        let sol = b.solve_with(&mut ws).unwrap();
-        assert!(!sol.warm);
-        assert_eq!(sol.status, b.solve().unwrap().status);
-    }
-
-    #[test]
-    fn warm_start_detects_infeasibility_via_fallback() {
-        let mut ws = SolverWorkspace::new();
-        // First a feasible box problem, then an infeasible sibling of the
-        // same shape: the stale basis cannot be feasible, so the solver
-        // falls back cold and still reports Infeasible.
-        let mut a = LinearProgram::new(1, Objective::Maximize);
-        a.set_objective(&[1.0]);
-        a.set_bound(0, Bound::boxed(0.0, 1.0));
-        a.add_constraint(&[1.0], Relation::Le, 0.5);
-        assert_eq!(a.solve_with(&mut ws).unwrap().status, Status::Optimal);
-
-        let mut b = LinearProgram::new(1, Objective::Maximize);
-        b.set_objective(&[1.0]);
-        b.set_bound(0, Bound::boxed(0.6, 0.9));
-        b.add_constraint(&[1.0], Relation::Le, 0.5);
-        let sol = b.solve_with(&mut ws).unwrap();
-        assert_eq!(sol.status, Status::Infeasible);
-        assert!(!sol.warm);
-    }
-
-    #[test]
-    fn restored_per_key_basis_warm_starts_its_own_member() {
-        // Two same-shape family members solved and stashed under their own
-        // keys; revisiting a member restores *its* basis (not whatever
-        // solved last) and warm-starts with the same optimum as cold.
-        let mut ws = SolverWorkspace::new();
-        let a = max_slack_lp(8, 0.0);
-        let b = max_slack_lp(8, 0.3);
-        a.solve_with(&mut ws).unwrap();
-        ws.stash_basis(0);
-        b.solve_with(&mut ws).unwrap();
-        ws.stash_basis(1);
-
-        assert!(ws.restore_basis(0));
-        let again = a.solve_with(&mut ws).unwrap();
-        assert!(again.warm, "a's own basis should warm-start a");
-        assert_close(again.objective, a.solve().unwrap().objective);
-        // The stash from before is untouched by the intervening solves.
-        assert!(ws.basis_cache().contains(1));
-    }
-
-    #[test]
-    fn invalidate_forces_cold_solve() {
-        let mut ws = SolverWorkspace::new();
-        let lp = max_slack_lp(6, 0.0);
-        lp.solve_with(&mut ws).unwrap();
-        assert!(lp.solve_with(&mut ws).unwrap().warm);
-        ws.invalidate();
-        assert!(!lp.solve_with(&mut ws).unwrap().warm);
-    }
-
-    #[test]
-    fn workspace_cold_solve_is_identical_to_plain_solve() {
-        // The cold path through a workspace is the same algorithm as
-        // `solve()`: identical status, objective, point and pivot count.
-        for shift in [0.0, 0.05, -0.1] {
-            let lp = max_slack_lp(7, shift);
-            let plain = lp.solve().unwrap();
-            let mut ws = SolverWorkspace::new();
-            let through_ws = lp.solve_with(&mut ws).unwrap();
-            assert_eq!(plain.status, through_ws.status);
-            assert_eq!(plain.pivots, through_ws.pivots);
-            assert_eq!(plain.objective, through_ws.objective);
-            assert_eq!(plain.x, through_ws.x);
+        ws.start(&boxed(8), &[0.0; 8]);
+        for c in max_slack_rows(8, 0.0) {
+            ws.push_row(&c);
         }
+        ws.solve().unwrap();
+        let rows = max_slack_rows(5, 0.1);
+        ws.start(&boxed(5), &[1.0, 0.0, 0.0, 0.0, 0.0]);
+        for c in &rows {
+            ws.push_row(c);
+        }
+        let t = ws.solve().unwrap();
+        assert_eq!(ws.stats().warm_solves, 0);
+        assert_close(t, max_slack_lp(&boxed(5), &rows).solve().unwrap().objective);
     }
 }

@@ -4,11 +4,10 @@
 //! `A x = b, x ≥ 0, b ≥ 0` together with an objective row (phase-1
 //! artificial objective or phase-2 true objective). Storage is a single
 //! flat row-major buffer (`rows × (cols + 1)`, right-hand side last in
-//! each row) owned across solves by a [`crate::SolverWorkspace`], so
-//! repeated solves of same-shaped problems perform no allocation after
-//! the first. Pivoting is plain Gauss-Jordan elimination; problems in
-//! this workspace are tiny (≤ ~60 columns) so no sparse or
-//! revised-simplex machinery is warranted.
+//! each row). Pivoting is plain Gauss-Jordan elimination; it serves the
+//! cold two-phase solver of [`crate::LinearProgram`], whose programs are
+//! tiny (≤ ~60 columns), so no sparse or revised-simplex machinery is
+//! warranted.
 
 use crate::EPS;
 
@@ -76,11 +75,6 @@ impl Tableau {
     /// Right-hand side of row `r`.
     pub fn rhs(&self, r: usize) -> f64 {
         self.get(r, self.cols)
-    }
-
-    pub fn set_rhs(&mut self, r: usize, v: f64) {
-        let at = r * self.width() + self.cols;
-        self.a[at] = v;
     }
 
     /// Current objective value (phase objective).

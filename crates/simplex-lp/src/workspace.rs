@@ -1,56 +1,55 @@
-//! Reusable solver state: standard-form buffers, tableau storage, and the
-//! warm-start basis shared across [`crate::LinearProgram::solve_with`]
-//! calls.
+//! The bounded-variable simplex for the potential-optimality LP family
+//! (see the crate docs):
 //!
-//! A [`SolverWorkspace`] exists so that a *sequence* of structurally
-//! similar LPs — the potential-optimality loop solves one per alternative,
-//! all with the same bounds and normalization row and only the pairwise
-//! difference rows changing — pays for its buffers once and can restart
-//! each solve from the previous optimal basis. See the crate docs for the
-//! warm-start contract.
+//! ```text
+//! max t   s.t.  c_k · w ≥ t   for each rival row k,   w ∈ W,   t ≤ 2
+//! ```
+//!
+//! A nonbasic variable sits at its lower or upper bound and the primal
+//! ratio test may flip it to the other one, so the box costs no tableau
+//! rows. The tableau is condensed: the normalization row plus one row per
+//! rival, each over the `m` nonbasic columns only. Appending a row changes
+//! no reduced cost, so the basis stays dual feasible and dual simplex
+//! steps re-optimize from it (Chvátal, *Linear Programming*, 1983, ch. 8
+//! and 10). `t` has no lower bound, so the LP is feasible and bounded for
+//! any rows; for utility-difference rows (`c_kj ∈ [−1, 1]`, so `t* ≥ −1`)
+//! the optimum is the one of the general formulation with `t` boxed in
+//! `[−2, 2]`.
 
-use crate::tableau::Tableau;
-use std::collections::BTreeMap;
+use crate::{LpError, WeightPolytope, EPS};
 
-/// How a user variable maps into the non-negative internal space.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum VarMap {
-    /// `x = lower + x'[col]`, optionally with an upper-bound row added.
-    Shifted { col: usize, lower: f64 },
-    /// `x = upper - x'[col]` (only an upper bound is finite).
-    Mirrored { col: usize, upper: f64 },
-    /// `x = x'[pos] - x'[neg]` (free variable split).
-    Split { pos: usize, neg: usize },
-}
+/// Upper bound of `t`. Utilities live in `[0, 1]`, so only an LP without
+/// rival rows reaches it.
+const T_MAX: f64 = 2.0;
 
-/// Relation tag of one standard-form row (mirrors
-/// [`crate::Relation`] but lives here so the flattened row buffers stay
-/// self-contained).
-pub(crate) use crate::problem::Relation as RowRelation;
+/// A basic variable counts as off its bound, for the dual simplex, once
+/// it is past the bound by more than this. Far below the certification's
+/// 1e-10 violation threshold, so an appended violated row is always
+/// enforced, and far above the rounding of values near 1.
+const FEAS_TOL: f64 = 1e-12;
 
 /// Cumulative work counters of a [`SolverWorkspace`].
 ///
-/// `pivots` counts simplex pivots only (both phases plus artificial
-/// drive-out); the O(m²) basis refactorization a warm start performs is
-/// fixed work and not counted. `warm_pivots / warm_solves` vs
-/// `cold_pivots / (solves − warm_solves)` is the headline warm-start
-/// effectiveness ratio surfaced in `BENCH_engine.json`.
+/// A *solve* is one [`SolverWorkspace::solve`] call. It is *warm* when it
+/// re-optimizes after rows were appended to an optimal tableau, and cold
+/// when it runs from the closed-form start. `pivots` counts every simplex
+/// step: primal and dual basis changes and primal bound flips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Total solves driven through the workspace.
     pub solves: usize,
-    /// Solves that successfully started from a reused basis.
+    /// Solves that re-optimized after appended rows.
     pub warm_solves: usize,
-    /// Cumulative simplex pivots across all solves.
+    /// Cumulative simplex steps across all solves.
     pub pivots: usize,
-    /// Pivots spent in warm-started solves.
+    /// Steps spent in warm solves.
     pub warm_pivots: usize,
-    /// Pivots spent in cold (two-phase) solves.
+    /// Steps spent in cold solves.
     pub cold_pivots: usize,
 }
 
 impl SolveStats {
-    /// Solves that ran the full two-phase method.
+    /// Solves that ran from the closed-form start.
     pub fn cold_solves(&self) -> usize {
         self.solves - self.warm_solves
     }
@@ -65,115 +64,82 @@ impl SolveStats {
         self.cold_pivots += other.cold_pivots;
     }
 
-    /// Mean pivots per warm-started solve (`None` when none ran).
+    /// Mean steps per warm solve (`None` when none ran).
     pub fn pivots_per_warm_solve(&self) -> Option<f64> {
         (self.warm_solves > 0).then(|| self.warm_pivots as f64 / self.warm_solves as f64)
     }
 
-    /// Mean pivots per cold solve (`None` when none ran).
+    /// Mean steps per cold solve (`None` when none ran).
     pub fn pivots_per_cold_solve(&self) -> Option<f64> {
         (self.cold_solves() > 0).then(|| self.cold_pivots as f64 / self.cold_solves() as f64)
     }
-}
 
-/// A persisted pool of warm-start bases keyed by an arbitrary caller id
-/// (the potential-optimality loop keys by alternative index).
-///
-/// The plain chained warm start always restarts from *whatever solved
-/// last*; when a caller revisits the same family member repeatedly — the
-/// incremental what-if loop re-certifies one alternative after every
-/// edit — the best starting point is that member's *own* last optimal
-/// basis. [`SolverWorkspace::stash_basis`] snapshots the active saved
-/// basis under a key and [`SolverWorkspace::restore_basis`] installs it
-/// back as the active warm-start candidate. A restored basis is still
-/// only a hint: shape mismatches, singularity and infeasibility all fall
-/// back to the cold path exactly as for the chained basis, so the cache
-/// never changes a status; an optimum reached from it agrees with a cold
-/// solve's to floating-point roundoff, not bit for bit.
-///
-/// Invariants: entries survive the internal post-solve basis save (only an
-/// explicit stash overwrites a key) and the whole cache is dropped by
-/// [`SolverWorkspace::invalidate`] — after a structural change (a new
-/// weight polytope) every stored basis is a stale guess not worth a
-/// refactorization attempt.
-#[derive(Debug, Clone, Default)]
-pub struct BasisCache {
-    /// Key → (basis column set, standard-form shape it belongs to).
-    entries: BTreeMap<usize, (Vec<usize>, (usize, usize))>,
-}
-
-impl BasisCache {
-    /// Number of stashed bases.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no basis is stashed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop every stashed basis.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Whether a basis is stashed under `key`.
-    pub fn contains(&self, key: usize) -> bool {
-        self.entries.contains_key(&key)
+    fn record(&mut self, warm: bool, pivots: usize) {
+        self.solves += 1;
+        self.pivots += pivots;
+        if warm {
+            self.warm_solves += 1;
+            self.warm_pivots += pivots;
+        } else {
+            self.cold_pivots += pivots;
+        }
     }
 }
 
-/// Reusable buffers + warm-start state for
-/// [`crate::LinearProgram::solve_with`].
+/// The bounded-variable simplex for the max-slack family (see the module
+/// docs), with its tableau kept between solves so rows can be appended.
 ///
-/// After the first solve of a given shape, subsequent solves perform no
-/// allocation: the standard-form scratch, the tableau storage and the
-/// solution vector are all kept and resized in place. The workspace also
-/// remembers the optimal basis of the last successful solve; when the next
-/// problem has the same standard-form shape (same row count and structural
-/// column count), the solver refactorizes that basis against the new
-/// coefficients and — if it is still primal feasible — skips phase 1
-/// entirely, typically converging in a handful of pivots.
+/// Variables: `w_0 … w_{m−1}` are `0 … m−1`, `t` is `m`, and the slack
+/// `c_r·w − t ≥ 0` of rival row `r ≥ 1` is `m + r`. Row 0 is the
+/// normalization row. All buffers are reused, so after the first LP of a
+/// given size a solve allocates nothing.
 ///
-/// A workspace never affects *what* is computed, only how fast: any saved
-/// basis that turns out singular, infeasible or degenerate-stalled for
-/// the next problem makes the solver fall back to the cold two-phase
-/// path. One known gap: when phase 1 drops redundant rows, the saved
-/// basis belongs to the reduced system and its shape never matches the
-/// family's standard form again, so such families simply keep solving
-/// cold (correct, just never warm).
+/// ```
+/// use simplex_lp::{SolverWorkspace, WeightPolytope};
+///
+/// let p = WeightPolytope::new(&[0.2, 0.2], &[0.8, 0.8]).expect("feasible");
+/// let mut ws = SolverWorkspace::new();
+/// ws.start(&p, &[0.0, 0.0]);
+/// ws.push_row(&[1.0, -1.0]); // w0 − w1 ≥ t
+/// assert!((ws.solve().unwrap() - 0.6).abs() < 1e-12);
+/// // A rival row that the optimum violates: appended warm.
+/// ws.push_row(&[-0.5, 0.5]);
+/// let t = ws.solve().unwrap();
+/// assert!(t.abs() < 1e-12);
+/// assert_eq!(ws.stats().warm_solves, 1);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
-    /// The simplex tableau (flat storage, reused across solves).
-    pub(crate) t: Tableau,
-    /// Standard-form rows, flattened `m × n_internal`.
-    pub(crate) sf_coeffs: Vec<f64>,
-    pub(crate) sf_rel: Vec<RowRelation>,
-    pub(crate) sf_rhs: Vec<f64>,
-    /// Internal minimization objective over structural variables.
-    pub(crate) cost: Vec<f64>,
-    /// User-variable → internal-variable maps.
-    pub(crate) maps: Vec<VarMap>,
-    /// Optimal basis of the last successful solve, plus the
-    /// `(rows, structural columns)` shape it belongs to.
-    pub(crate) saved_basis: Vec<usize>,
-    pub(crate) saved_shape: Option<(usize, usize)>,
-    /// Per-key snapshots of optimal bases (see [`BasisCache`]).
-    basis_cache: BasisCache,
-    /// Scratch: rows still basic in an artificial column after phase 1.
-    pub(crate) drop_rows: Vec<usize>,
-    /// Scratch: rows already claimed during warm-start refactorization.
-    pub(crate) row_used: Vec<bool>,
-    /// Scratch: which rows need an artificial column (cold path).
-    pub(crate) artificial_rows: Vec<bool>,
-    /// Scratch: internal primal solution during extraction.
-    pub(crate) xi: Vec<f64>,
+    /// Weight count.
+    m: usize,
+    /// Bounds per variable.
+    lo: Vec<f64>,
+    up: Vec<f64>,
+    /// Per variable: whether it is basic, and its row (basic) or column
+    /// (nonbasic).
+    basic: Vec<bool>,
+    pos: Vec<usize>,
+    /// Per row: the basic variable and its value.
+    head: Vec<usize>,
+    beta: Vec<f64>,
+    /// Condensed tableau, `rows × m` row-major: row `r` reads
+    /// `x_head[r] + Σ_q tab[r·m + q]·x_slot[q] = const`.
+    tab: Vec<f64>,
+    /// Per column: the nonbasic variable, whether it sits at its upper
+    /// bound, and its reduced cost (the objective's rate per unit rise).
+    slot: Vec<usize>,
+    at_up: Vec<bool>,
+    d: Vec<f64>,
+    /// Scratch: the scaled pivot row; the start pour's order.
+    prow: Vec<f64>,
+    order: Vec<usize>,
+    /// Whether no solve has run since [`SolverWorkspace::start`].
+    fresh: bool,
     stats: SolveStats,
 }
 
 impl SolverWorkspace {
-    /// A fresh workspace: empty buffers, no saved basis, zeroed counters.
+    /// A fresh workspace: no LP, zeroed counters.
     pub fn new() -> SolverWorkspace {
         SolverWorkspace::default()
     }
@@ -183,77 +149,383 @@ impl SolverWorkspace {
         self.stats
     }
 
-    /// Zero the counters (the saved basis is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = SolveStats::default();
-    }
+    /// Begin a new LP over `polytope`, with no rival rows yet. The start
+    /// vertex pours the free weight mass onto the coordinates in
+    /// descending `key` order (ties by index), the greedy maximizer of
+    /// `key · w`; the one coordinate it fills partly is basic in the
+    /// normalization row. `t` starts nonbasic at its upper bound.
+    ///
+    /// # Panics
+    ///
+    /// When `key.len() != polytope.dim()`.
+    pub fn start(&mut self, polytope: &WeightPolytope, key: &[f64]) {
+        let m = polytope.dim();
+        assert_eq!(key.len(), m, "start key length mismatch");
+        let (low, upp) = (polytope.lower(), polytope.upper());
+        self.m = m;
+        self.fresh = true;
+        self.lo.clear();
+        self.lo.extend_from_slice(low);
+        self.lo.push(f64::NEG_INFINITY);
+        self.up.clear();
+        self.up.extend_from_slice(upp);
+        self.up.push(T_MAX);
 
-    /// Forget the saved basis *and* every stashed per-key basis: the next
-    /// solve runs cold. Call after a structural change that makes the old
-    /// bases useless guesses (the solver would detect and recover anyway —
-    /// this just skips the refactorization attempts).
-    pub fn invalidate(&mut self) {
-        self.saved_shape = None;
-        self.saved_basis.clear();
-        self.basis_cache.clear();
-    }
-
-    /// Snapshot the active saved basis (the last optimal solve's) into the
-    /// per-key cache under `key`, overwriting any previous stash. No-op
-    /// when no basis is saved.
-    pub fn stash_basis(&mut self, key: usize) {
-        if let Some(shape) = self.saved_shape {
-            self.basis_cache
-                .entries
-                .insert(key, (self.saved_basis.clone(), shape));
-        }
-    }
-
-    /// Install the basis stashed under `key` as the active warm-start
-    /// candidate for the next solve. Returns whether an entry existed;
-    /// when it does not, the currently saved basis (the chained one) is
-    /// left in place.
-    pub fn restore_basis(&mut self, key: usize) -> bool {
-        match self.basis_cache.entries.get(&key) {
-            Some((basis, shape)) => {
-                self.saved_basis.clear();
-                self.saved_basis.extend_from_slice(basis);
-                self.saved_shape = Some(*shape);
-                true
+        self.order.clear();
+        self.order.extend(0..m);
+        self.order
+            .sort_unstable_by(|&a, &b| key[b].total_cmp(&key[a]).then(a.cmp(&b)));
+        // order[..full] end at their upper bound, order[full] is basic.
+        let mut rem = 1.0 - low.iter().sum::<f64>();
+        let mut full = m - 1;
+        for (n, &j) in self.order.iter().enumerate() {
+            let width = upp[j] - low[j];
+            if rem <= width {
+                full = n;
+                break;
             }
-            None => false,
+            rem -= width;
+        }
+        let b = self.order[full];
+
+        self.basic.clear();
+        self.basic.resize(m + 1, false);
+        self.pos.clear();
+        self.pos.resize(m + 1, 0);
+        self.slot.clear();
+        self.at_up.clear();
+        for (n, &j) in self.order.iter().enumerate() {
+            if n != full {
+                self.pos[j] = self.slot.len();
+                self.slot.push(j);
+                self.at_up.push(n < full);
+            }
+        }
+        self.pos[m] = self.slot.len();
+        self.slot.push(m);
+        self.at_up.push(true);
+        self.basic[b] = true;
+        self.pos[b] = 0;
+
+        // Row 0: w_b + Σ_{j≠b} w_j = 1.
+        self.head.clear();
+        self.head.push(b);
+        self.tab.clear();
+        self.tab.resize(m, 1.0);
+        self.tab[m - 1] = 0.0; // the t column
+        let rest: f64 = (0..m).filter(|&j| j != b).map(|j| self.value(j)).sum();
+        let wb = 1.0 - rest;
+        // The polytope admits `Σ low` and `Σ upp` up to `EPS` past 1; the
+        // basic coordinate absorbs that slack in its own box.
+        self.lo[b] = self.lo[b].min(wb);
+        self.up[b] = self.up[b].max(wb);
+        self.beta.clear();
+        self.beta.push(wb);
+        self.d.clear();
+        self.d.resize(m, 0.0);
+        self.d[m - 1] = 1.0;
+    }
+
+    /// Append the rival row `c · w ≥ t`, written in the current basis with
+    /// its slack basic at the current point's value `c · w − t` (negative
+    /// when the row is violated there).
+    ///
+    /// # Panics
+    ///
+    /// When `c.len()` is not the dimension passed to
+    /// [`SolverWorkspace::start`], or before the first `start`.
+    pub fn push_row(&mut self, c: &[f64]) {
+        let m = self.m;
+        assert_eq!(c.len(), m, "row length mismatch");
+        let base = self.tab.len();
+        self.tab.resize(base + m, 0.0);
+        let mut value = -0.0;
+        // The row over the structural variables: `c` for `w`, −1 for `t`.
+        for (var, a) in c.iter().copied().chain([-1.0]).enumerate() {
+            value += a * self.value(var);
+            if self.basic[var] {
+                let (rows, new) = self.tab.split_at_mut(base);
+                let at = self.pos[var] * m;
+                for (x, &y) in new.iter_mut().zip(&rows[at..at + m]) {
+                    *x += a * y;
+                }
+            } else {
+                self.tab[base + self.pos[var]] -= a;
+            }
+        }
+        let var = self.lo.len();
+        self.lo.push(0.0);
+        self.up.push(f64::INFINITY);
+        self.basic.push(true);
+        self.pos.push(self.head.len());
+        self.head.push(var);
+        self.beta.push(value);
+    }
+
+    /// Re-optimize and return `t*`. The first solve after
+    /// [`SolverWorkspace::start`] is cold: `t` drops onto the tightest
+    /// rival row, then primal simplex steps run. A later one is warm: dual
+    /// simplex steps restore the appended rows, then primal steps clean up
+    /// any reduced cost rounding pushed past the tolerance.
+    ///
+    /// Fails with [`LpError::IterationLimit`] when the step budget runs out
+    /// or a ratio test finds no step, both signs of numerical corruption.
+    ///
+    /// # Panics
+    ///
+    /// Before the first [`SolverWorkspace::start`].
+    pub fn solve(&mut self) -> Result<f64, LpError> {
+        let cap = 2000 + 50 * (self.m + self.head.len());
+        let warm = !self.fresh;
+        let mut pivots = 0;
+        if self.fresh {
+            self.fresh = false;
+            // `t` is nonbasic with coefficient 1 in every rival row: one
+            // step moves it onto the tightest row and frees every other.
+            let tightest =
+                (1..self.head.len()).min_by(|&a, &b| self.beta[a].total_cmp(&self.beta[b]));
+            if let Some(r) = tightest.filter(|&r| self.beta[r] < 0.0) {
+                let delta = self.beta[r];
+                self.step(r, self.pos[self.m], delta, false);
+                pivots += 1;
+            }
+        }
+        let done = self.iterate(&mut pivots, cap);
+        self.stats.record(warm, pivots);
+        done.map(|()| self.value(self.m))
+    }
+
+    /// Write `w` at the current point into `w` (length `m`).
+    pub fn weights_into(&self, w: &mut [f64]) {
+        for (j, x) in w.iter_mut().enumerate() {
+            *x = self.value(j);
         }
     }
 
-    /// The per-key warm-basis cache (read-only view).
-    pub fn basis_cache(&self) -> &BasisCache {
-        &self.basis_cache
-    }
-
-    /// Whether a warm-start basis is available for the given shape.
-    pub(crate) fn has_saved(&self, rows: usize, cols: usize) -> bool {
-        self.saved_shape == Some((rows, cols)) && self.saved_basis.len() == rows
-    }
-
-    pub(crate) fn record(&mut self, warm: bool, pivots: usize) {
-        self.stats.solves += 1;
-        self.stats.pivots += pivots;
-        if warm {
-            self.stats.warm_solves += 1;
-            self.stats.warm_pivots += pivots;
+    /// The current value of variable `var`.
+    fn value(&self, var: usize) -> f64 {
+        let p = self.pos[var];
+        if self.basic[var] {
+            self.beta[p]
+        } else if self.at_up[p] {
+            self.up[var]
         } else {
-            self.stats.cold_pivots += pivots;
+            self.lo[var]
         }
     }
 
-    pub(crate) fn save_basis(&mut self, rows: usize, cols: usize) {
-        self.saved_basis.clear();
-        self.saved_basis.extend_from_slice(&self.t.basis);
-        // The basis is a column *set*; store it highest-index first so the
-        // next warm start refactorizes slack columns (still unit columns,
-        // free to pivot) before the structural ones introduce fill-in.
-        self.saved_basis.sort_unstable_by(|a, b| b.cmp(a));
-        self.saved_shape = Some((rows, cols));
+    /// Whether a nonbasic variable can move at all.
+    fn fixed(&self, var: usize) -> bool {
+        self.up[var] <= self.lo[var]
+    }
+
+    /// Simplex steps until optimal: dual steps while a basic variable is
+    /// off its bounds, then primal steps, with bound flips, while a
+    /// reduced cost improves `t`. Bland's rule takes over halfway through
+    /// the step budget.
+    fn iterate(&mut self, pivots: &mut usize, cap: usize) -> Result<(), LpError> {
+        let m = self.m;
+        loop {
+            let bland = *pivots >= cap / 2;
+            if let Some((r, below)) = self.leaving_row(bland) {
+                let q = self
+                    .dual_ratio(r, below, bland)
+                    .ok_or(LpError::IterationLimit(cap))?;
+                let v = self.head[r];
+                let target = if below { self.lo[v] } else { self.up[v] };
+                let delta = (self.beta[r] - target) / self.tab[r * m + q];
+                self.step(r, q, delta, !below);
+            } else if let Some(q) = self.entering(bland) {
+                let dir = if self.at_up[q] { -1.0 } else { 1.0 };
+                match self.primal_ratio(q, dir, bland) {
+                    (Some((r, to_up)), theta) => self.step(r, q, dir * theta, to_up),
+                    (None, theta) if theta.is_finite() => {
+                        self.shift(q, dir * theta);
+                        self.at_up[q] = !self.at_up[q];
+                    }
+                    (None, _) => return Err(LpError::IterationLimit(cap)),
+                }
+            } else {
+                return Ok(());
+            }
+            *pivots += 1;
+            if *pivots > cap {
+                return Err(LpError::IterationLimit(cap));
+            }
+        }
+    }
+
+    /// Entering column: the largest improving reduced cost (Dantzig), or
+    /// the lowest improving variable under Bland's rule. Fixed variables
+    /// never enter.
+    fn entering(&self, bland: bool) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (q, (&d, &up)) in self.d.iter().zip(&self.at_up).enumerate() {
+            let gain = if up { -d } else { d };
+            if gain <= EPS || self.fixed(self.slot[q]) {
+                continue;
+            }
+            let better = match best {
+                None => true,
+                Some((b, _)) if bland => self.slot[q] < self.slot[b],
+                Some((_, g)) => gain > g,
+            };
+            if better {
+                best = Some((q, gain));
+            }
+        }
+        best.map(|(q, _)| q)
+    }
+
+    /// Primal ratio test for column `q` moving in direction `dir`: the
+    /// step length and the row that blocks it together with the bound its
+    /// variable leaves at, or `None` for a bound flip (infinite step when
+    /// nothing blocks). Ties prefer the larger pivot, or the lowest
+    /// variable under Bland's rule.
+    fn primal_ratio(&self, q: usize, dir: f64, bland: bool) -> (Option<(usize, bool)>, f64) {
+        let m = self.m;
+        let v = self.slot[q];
+        let mut best: Option<(usize, bool, f64, f64)> = None;
+        for (r, (row, &b)) in self.tab.chunks_exact(m).zip(&self.beta).enumerate() {
+            let rate = -row[q] * dir;
+            let h = self.head[r];
+            let (lim, to_up) = if rate < -EPS {
+                ((b - self.lo[h]) / -rate, false)
+            } else if rate > EPS {
+                ((self.up[h] - b) / rate, true)
+            } else {
+                continue;
+            };
+            if !lim.is_finite() {
+                continue;
+            }
+            let lim = lim.max(0.0);
+            let better = match best {
+                None => true,
+                Some((_, _, l, _)) if lim < l - EPS => true,
+                Some((_, _, l, _)) if lim > l + EPS => false,
+                Some((br, _, _, _)) if bland => h < self.head[br],
+                Some((_, _, _, a)) => rate.abs() > a,
+            };
+            if better {
+                best = Some((r, to_up, lim, rate.abs()));
+            }
+        }
+        let flip = self.up[v] - self.lo[v];
+        match best {
+            Some((r, to_up, lim, _)) if lim < flip => (Some((r, to_up)), lim),
+            _ => (None, flip),
+        }
+    }
+
+    /// Leaving row for the dual simplex: the basic variable furthest past
+    /// a bound (lowest variable under Bland's rule), and whether it is
+    /// below its lower bound.
+    fn leaving_row(&self, bland: bool) -> Option<(usize, bool)> {
+        let mut best: Option<(usize, bool, f64)> = None;
+        for (r, (&h, &b)) in self.head.iter().zip(&self.beta).enumerate() {
+            let (gap, below) = if b < self.lo[h] - FEAS_TOL {
+                (self.lo[h] - b, true)
+            } else if b > self.up[h] + FEAS_TOL {
+                (b - self.up[h], false)
+            } else {
+                continue;
+            };
+            let better = match best {
+                None => true,
+                Some((br, _, _)) if bland => h < self.head[br],
+                Some((_, _, g)) => gap > g,
+            };
+            if better {
+                best = Some((r, below, gap));
+            }
+        }
+        best.map(|(r, below, _)| (r, below))
+    }
+
+    /// Dual ratio test on row `r`: among the columns whose move pushes the
+    /// row's basic variable back toward the violated bound, the one whose
+    /// reduced cost reaches zero first. Ties prefer the larger pivot, or
+    /// the lowest variable under Bland's rule.
+    fn dual_ratio(&self, r: usize, below: bool, bland: bool) -> Option<usize> {
+        let m = self.m;
+        let row = &self.tab[r * m..(r + 1) * m];
+        let sigma = if below { 1.0 } else { -1.0 };
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (q, &a) in row.iter().enumerate() {
+            let dir = if self.at_up[q] { -1.0 } else { 1.0 };
+            if -a * dir * sigma <= EPS || self.fixed(self.slot[q]) {
+                continue;
+            }
+            let ratio = self.d[q].abs() / a.abs();
+            let better = match best {
+                None => true,
+                Some((_, x, _)) if ratio < x - EPS => true,
+                Some((_, x, _)) if ratio > x + EPS => false,
+                Some((b, _, _)) if bland => self.slot[q] < self.slot[b],
+                Some((_, _, p)) => a.abs() > p,
+            };
+            if better {
+                best = Some((q, ratio, a.abs()));
+            }
+        }
+        best.map(|(q, _, _)| q)
+    }
+
+    /// Move nonbasic column `q` by `delta`, then exchange it with row
+    /// `r`'s basic variable, which leaves at its upper bound when
+    /// `leave_up`, else at its lower one.
+    fn step(&mut self, r: usize, q: usize, delta: f64, leave_up: bool) {
+        let entered = self.value(self.slot[q]) + delta;
+        self.shift(q, delta);
+        self.beta[r] = entered;
+        self.at_up[q] = leave_up;
+        self.pivot(r, q);
+    }
+
+    /// Move nonbasic column `q` by `delta`: every basic value follows.
+    fn shift(&mut self, q: usize, delta: f64) {
+        for (b, row) in self.beta.iter_mut().zip(self.tab.chunks_exact(self.m)) {
+            *b -= row[q] * delta;
+        }
+    }
+
+    /// Exchange row `r`'s basic variable with column `q`'s nonbasic one
+    /// (Gauss-Jordan on the condensed tableau and the reduced costs).
+    fn pivot(&mut self, r: usize, q: usize) {
+        let m = self.m;
+        let SolverWorkspace { tab, prow, d, .. } = self;
+        let inv = 1.0 / tab[r * m + q];
+        prow.clear();
+        prow.extend(tab[r * m..(r + 1) * m].iter().map(|&x| x * inv));
+        prow[q] = inv;
+        for (i, row) in tab.chunks_exact_mut(m).enumerate() {
+            if i == r {
+                row.copy_from_slice(prow);
+                continue;
+            }
+            let f = row[q];
+            if f != 0.0 {
+                for (x, &p) in row.iter_mut().zip(prow.iter()) {
+                    *x -= f * p;
+                }
+                row[q] = -f * inv;
+            }
+        }
+        let f = d[q];
+        if f != 0.0 {
+            for (x, &p) in d.iter_mut().zip(prow.iter()) {
+                *x -= f * p;
+            }
+            d[q] = -f * inv;
+        }
+        let (entering, leaving) = (self.slot[q], self.head[r]);
+        self.head[r] = entering;
+        self.slot[q] = leaving;
+        self.basic[entering] = true;
+        self.pos[entering] = r;
+        self.basic[leaving] = false;
+        self.pos[leaving] = q;
     }
 }
 
@@ -284,55 +556,5 @@ mod tests {
         assert_eq!(a.pivots_per_warm_solve(), Some(2.0));
         assert_eq!(a.pivots_per_cold_solve(), Some(5.5));
         assert_eq!(SolveStats::default().pivots_per_warm_solve(), None);
-    }
-
-    #[test]
-    fn invalidate_clears_saved_basis() {
-        let mut ws = SolverWorkspace::new();
-        ws.saved_basis = vec![0, 1];
-        ws.saved_shape = Some((2, 4));
-        assert!(ws.has_saved(2, 4));
-        ws.invalidate();
-        assert!(!ws.has_saved(2, 4));
-    }
-
-    #[test]
-    fn stash_and_restore_round_trip_a_basis() {
-        let mut ws = SolverWorkspace::new();
-        ws.saved_basis = vec![3, 1];
-        ws.saved_shape = Some((2, 4));
-        ws.stash_basis(7);
-        assert!(ws.basis_cache().contains(7));
-        assert_eq!(ws.basis_cache().len(), 1);
-
-        // Another solve overwrites the active slot...
-        ws.saved_basis = vec![5, 0];
-        ws.saved_shape = Some((2, 6));
-        // ...but restoring brings back the stashed basis verbatim.
-        assert!(ws.restore_basis(7));
-        assert_eq!(ws.saved_basis, vec![3, 1]);
-        assert!(ws.has_saved(2, 4));
-        // A miss leaves the active slot untouched.
-        assert!(!ws.restore_basis(99));
-        assert_eq!(ws.saved_basis, vec![3, 1]);
-    }
-
-    #[test]
-    fn stash_without_a_saved_basis_is_a_no_op() {
-        let mut ws = SolverWorkspace::new();
-        ws.stash_basis(1);
-        assert!(ws.basis_cache().is_empty());
-    }
-
-    #[test]
-    fn invalidate_drops_the_basis_cache() {
-        let mut ws = SolverWorkspace::new();
-        ws.saved_basis = vec![0];
-        ws.saved_shape = Some((1, 2));
-        ws.stash_basis(0);
-        ws.invalidate();
-        assert!(ws.basis_cache().is_empty());
-        assert!(!ws.restore_basis(0));
-        assert!(!ws.has_saved(1, 2));
     }
 }

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use simplex_lp::{
-    minimize_via_lp, Bound, GreedyScratch, LinearProgram, Objective, Relation, Status,
-    WeightPolytope, EPS, POUR_LANES,
+    minimize_via_lp, Bound, GreedyScratch, LinearProgram, Objective, Relation, SolverWorkspace,
+    Status, WeightPolytope, EPS, POUR_LANES,
 };
 
 /// Strategy: a feasible box-on-simplex polytope of dimension 2..=8.
@@ -115,6 +115,29 @@ fn sorted_pour(p: &WeightPolytope, c: &[f64], maximize: bool) -> (f64, Vec<f64>)
     (c.iter().zip(&w).map(|(a, b)| a * b).sum(), w)
 }
 
+/// The max-slack LP as a general program with `t` boxed in `[−2, 2]`,
+/// the formulation the bounded-variable solver replaces.
+fn max_slack_lp(p: &WeightPolytope, rows: &[Vec<f64>]) -> LinearProgram {
+    let m = p.dim();
+    let mut lp = LinearProgram::new(m + 1, Objective::Maximize);
+    let mut obj = vec![0.0; m + 1];
+    obj[m] = 1.0;
+    lp.set_objective(&obj);
+    for j in 0..m {
+        lp.set_bound(j, Bound::boxed(p.lower()[j], p.upper()[j]));
+    }
+    lp.set_bound(m, Bound::boxed(-2.0, 2.0));
+    let mut norm = vec![1.0; m + 1];
+    norm[m] = 0.0;
+    lp.add_constraint(&norm, Relation::Eq, 1.0);
+    for c in rows {
+        let mut row = c.clone();
+        row.push(-1.0);
+        lp.add_constraint(&row, Relation::Ge, 0.0);
+    }
+    lp
+}
+
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
@@ -172,6 +195,99 @@ proptest! {
                 prop_assert_eq!(bits(&lane_w), bits(&w), "argopt, lane {} of {}, max={} c={:?}", t, live, maximize, c);
             }
         }
+    }
+
+    /// The bounded-variable max-slack solver agrees with a cold two-phase
+    /// solve after its closed-form start and after every batch of rows
+    /// appended warm: both optimal, `t*` within 1e-9, and its `w*` inside
+    /// the box, on the normalization plane within 1e-12 and on every
+    /// row's feasible side within 1e-10. Rows are tie-heavy (repeated
+    /// values, signed zeros, entries up to ±2), some repeated verbatim,
+    /// over boxes with fixed and tiny widths, ending with a copy of the
+    /// tightest row lowered by 1e-8. Boxes whose `Σ low` or
+    /// `Σ upp` misses 1 by up to `EPS` (which the polytope accepts) widen
+    /// the box and `t*` checks by that miss; the `t*` check also widens by
+    /// the reference point's own distance outside the box and below its
+    /// rows.
+    #[test]
+    fn bounded_simplex_matches_two_phase(case in tie_heavy_case(8),
+                                         first in 1usize..=8,
+                                         batch in 1usize..=3,
+                                         dups in 0usize..=3) {
+        let (p, mut rows) = case;
+        for d in 0..dups {
+            let again = rows[d * 3 % rows.len()].clone();
+            rows.insert(first.min(rows.len()), again);
+        }
+        let m = p.dim();
+        // A box accepted within `EPS` of the plane has no exactly feasible
+        // point; each solver puts that slack on its own coordinate, which
+        // moves `t*` by up to twice the largest |c_kj| (2) times it.
+        let box_slack = (p.lower().iter().sum::<f64>() - 1.0)
+            .max(1.0 - p.upper().iter().sum::<f64>())
+            .max(0.0);
+        let t_tol = 1e-9 + 4.0 * box_slack;
+        let mut ws = SolverWorkspace::new();
+        ws.start(&p, &rows[0]);
+        let mut w = vec![0.0; m];
+        let mut pushed = 0;
+        let mut end = first.min(rows.len());
+        let mut lowered = false;
+        let dot = |c: &[f64], w: &[f64]| -> f64 { c.iter().zip(w).map(|(a, b)| a * b).sum() };
+        loop {
+            for c in &rows[pushed..end] {
+                ws.push_row(c);
+            }
+            pushed = end;
+            let t = ws.solve().expect("solver healthy");
+            let cold = max_slack_lp(&p, &rows[..pushed]).solve().expect("well-formed");
+            prop_assert_eq!(cold.status, Status::Optimal);
+            // The two-phase reference accepts pivots down to `EPS`, so its
+            // own point may sit outside a 1e-10-wide box, or below a row
+            // lowered by 1e-8, by about as much.
+            let cold_w = &cold.x[..m];
+            let box_miss = cold_w
+                .iter()
+                .zip(p.lower().iter().zip(p.upper()))
+                .map(|(&x, (&l, &u))| (l - x).max(x - u))
+                .fold(0.0, f64::max);
+            let row_miss = rows[..pushed]
+                .iter()
+                .map(|c| cold.objective - dot(c, cold_w))
+                .fold(0.0, f64::max);
+            let tol = t_tol + 4.0 * box_miss + row_miss;
+            prop_assert!((t - cold.objective).abs() <= tol, "t {} vs {} after {} rows", t, cold.objective, pushed);
+            ws.weights_into(&mut w);
+            for (j, &x) in w.iter().enumerate() {
+                let tol = box_slack + 1e-12;
+                prop_assert!(x >= p.lower()[j] - tol && x <= p.upper()[j] + tol, "w[{}] = {} outside the box", j, x);
+            }
+            prop_assert!((w.iter().sum::<f64>() - 1.0).abs() <= 1e-12, "sum w = {}", w.iter().sum::<f64>());
+            for c in &rows[..pushed] {
+                let v = dot(c, &w);
+                prop_assert!(v >= t - 1e-10, "row {:?} at {} < t* {}", c, v, t);
+            }
+            if pushed == rows.len() {
+                if lowered {
+                    break;
+                }
+                // Last, the tightest row lowered by 1e-8: violated by
+                // just that much at the optimum, far below any pivot
+                // tolerance, yet it must move `t*` like the reference.
+                lowered = true;
+                let tightest = rows[..pushed]
+                    .iter()
+                    .min_by(|a, b| dot(a, &w).total_cmp(&dot(b, &w)))
+                    .expect("at least one row")
+                    .iter()
+                    .map(|c| c - 1e-8)
+                    .collect();
+                rows.push(tightest);
+            }
+            end = (pushed + batch).min(rows.len());
+        }
+        let stats = ws.stats();
+        prop_assert_eq!(stats.cold_solves(), 1);
     }
 
     /// The greedy continuous-knapsack optimum equals the LP optimum.
@@ -236,4 +352,50 @@ proptest! {
         let (b, _) = p.minimize(&scaled);
         prop_assert!((a * k - b).abs() < 1e-6, "{} vs {}", a * k, b);
     }
+}
+
+#[test]
+fn no_rival_rows_reach_the_upper_bound_of_t() {
+    let p = WeightPolytope::new(&[0.1, 0.2, 0.0], &[0.5, 0.6, 1.0]).unwrap();
+    let mut ws = SolverWorkspace::new();
+    ws.start(&p, &[0.3, -1.0, 0.3]);
+    assert_eq!(ws.solve().unwrap(), 2.0);
+    let mut w = [0.0; 3];
+    ws.weights_into(&mut w);
+    assert!(p.contains(&w, 1e-12), "{w:?}");
+}
+
+#[test]
+fn start_vertex_is_the_greedy_maximizer_of_the_key() {
+    let p = WeightPolytope::new(&[0.1, 0.2, 0.0], &[0.5, 0.6, 1.0]).unwrap();
+    let mut ws = SolverWorkspace::new();
+    // Pour order 2, 0, 1: w2 takes all 0.7 of free mass.
+    ws.start(&p, &[0.5, 0.1, 0.9]);
+    let mut w = [0.0; 3];
+    ws.weights_into(&mut w);
+    assert_eq!(w, [0.1, 0.2, 0.7]);
+    // The coordinate the pour fills last stays basic even when full.
+    ws.start(&p, &[1.0, 1.0, -1.0]);
+    ws.weights_into(&mut w);
+    assert!((w[0] - 0.5).abs() < 1e-15 && (w[1] - 0.5).abs() < 1e-15 && w[2] == 0.0);
+}
+
+#[test]
+fn single_weight_is_fixed_by_the_normalization_row() {
+    let p = WeightPolytope::new(&[0.0], &[1.0]).unwrap();
+    let mut ws = SolverWorkspace::new();
+    ws.start(&p, &[0.0]);
+    ws.push_row(&[0.25]);
+    ws.push_row(&[-0.5]);
+    assert_eq!(ws.solve().unwrap(), -0.5);
+}
+
+#[test]
+fn bound_flips_walk_the_box() {
+    // One row `w0 ≥ t`: the primal steps push w0 to its upper bound.
+    let p = WeightPolytope::new(&[0.0, 0.0, 0.0], &[0.3, 1.0, 1.0]).unwrap();
+    let mut ws = SolverWorkspace::new();
+    ws.start(&p, &[0.0, 0.0, 1.0]);
+    ws.push_row(&[1.0, 0.0, 0.0]);
+    assert!((ws.solve().unwrap() - 0.3).abs() < 1e-15);
 }
