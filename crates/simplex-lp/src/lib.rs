@@ -12,8 +12,11 @@
 //! * [`SolverWorkspace`]: a bounded-variable simplex for the one LP family
 //!   the potential-optimality certification solves, `max t` subject to
 //!   rival rows `c_k·w ≥ t` over the polytope. Bounds are handled in the
-//!   ratio test, the start is closed-form, and rows appended to an
-//!   optimal tableau re-optimize warm by dual simplex steps;
+//!   ratio test, and [`SolverWorkspace::start`] is closed-form (no phase
+//!   1). Constraint generation appends the rows an optimum violates with
+//!   [`SolverWorkspace::push_row`]; the basis stays dual feasible, so the
+//!   next solve re-optimizes warm by dual simplex steps. [`SolveStats`]
+//!   counts solves, warm re-solves and simplex steps;
 //! * [`LinearProgram`]: a general two-phase simplex (`≤`, `≥`, `=` rows,
 //!   boxed, fixed and free variables, infeasibility and unboundedness
 //!   detection, Bland's rule after a Dantzig phase). Every solve is cold.
@@ -33,26 +36,6 @@
 //! assert_eq!(sol.status, Status::Optimal);
 //! assert!((sol.objective - 12.0).abs() < 1e-9); // x=4, y=0
 //! ```
-//!
-//! ## Warm row growth
-//!
-//! Constraint generation solves the max-slack LP over a small working set
-//! of rival rows, then appends the rows the optimum violates. A
-//! [`SolverWorkspace`] keeps the optimal tableau between those solves:
-//!
-//! * **Closed-form start.** [`SolverWorkspace::start`] puts `w` on a
-//!   vertex of the polytope; the first solve drops `t` onto the tightest
-//!   row, which is primal feasible, so there is no phase 1.
-//! * **Warm growth.** [`SolverWorkspace::push_row`] writes a new row in
-//!   the current basis with its slack basic. The basis stays dual
-//!   feasible, so the next solve takes dual simplex steps from it.
-//!   [`SolveStats::warm_solves`] counts these re-solves.
-//! * **Buffer reuse.** The tableau and its index maps are resized in
-//!   place, so a solve loop allocates nothing once its largest LP is
-//!   reached.
-//! * **Accounting.** [`SolverWorkspace::stats`] exposes cumulative
-//!   [`SolveStats`]: solves, warm solves, and simplex steps (basis changes
-//!   and bound flips) split cold/warm.
 
 #![warn(missing_docs)]
 
@@ -67,7 +50,7 @@ pub use error::LpError;
 pub use polytope::{minimize_via_lp, GreedyScratch, WeightPolytope, POUR_LANES};
 pub use problem::{Bound, Constraint, LinearProgram, Objective, Relation};
 pub use solver::{Solution, Status};
-pub use workspace::{SolveStats, SolverWorkspace};
+pub use workspace::{max_slack_lp, SolveStats, SolverWorkspace};
 
 /// Numerical tolerance used throughout the solver for feasibility and
 /// optimality tests. Problems in this workspace are small (tens of

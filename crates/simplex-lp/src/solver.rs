@@ -58,8 +58,6 @@ pub struct Solution {
     /// Optimal assignment of the original decision variables. Empty unless
     /// `status == Optimal`.
     pub x: Vec<f64>,
-    /// Number of simplex pivots performed (both phases).
-    pub pivots: usize,
 }
 
 impl Solution {
@@ -68,7 +66,6 @@ impl Solution {
             status,
             objective: f64::NAN,
             x: Vec::new(),
-            pivots: 0,
         }
     }
 }
@@ -302,10 +299,7 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
         let optimal = pivot_loop(&mut ws.t, &mut pivots, max_pivots)?;
         debug_assert!(optimal, "phase-1 objective is bounded below by 0");
         if ws.t.objective_value() > 1e-7 {
-            return Ok(Solution {
-                pivots,
-                ..Solution::non_optimal(Status::Infeasible)
-            });
+            return Ok(Solution::non_optimal(Status::Infeasible));
         }
         // Drive remaining artificial variables out of the basis.
         let mut drop_rows = Vec::new();
@@ -329,19 +323,16 @@ pub(crate) fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
     // ---- Phase 2 (or single phase when no artificials were needed) ----
     price_out_objective(&mut ws.t, &ws.cost);
     if !pivot_loop(&mut ws.t, &mut pivots, max_pivots)? {
-        return Ok(Solution {
-            pivots,
-            ..Solution::non_optimal(Status::Unbounded)
-        });
+        return Ok(Solution::non_optimal(Status::Unbounded));
     }
-    Ok(extract(lp, ws, n, pivots))
+    Ok(extract(lp, ws, n))
 }
 
 /// Map the internal primal solution back to user variables and recompute
 /// the objective in the user's direction from first principles. (The
 /// returned `x` is the one allocation a solve necessarily makes — it is
 /// handed to the caller.)
-fn extract(lp: &LinearProgram, ws: &Work, n: usize, pivots: usize) -> Solution {
+fn extract(lp: &LinearProgram, ws: &Work, n: usize) -> Solution {
     let mut xi = vec![0.0; n];
     ws.t.primal_into(&mut xi);
     let mut x = vec![0.0; lp.n];
@@ -357,7 +348,6 @@ fn extract(lp: &LinearProgram, ws: &Work, n: usize, pivots: usize) -> Solution {
         status: Status::Optimal,
         objective,
         x,
-        pivots,
     }
 }
 
@@ -365,7 +355,7 @@ fn extract(lp: &LinearProgram, ws: &Work, n: usize, pivots: usize) -> Solution {
 mod tests {
     use super::*;
     use crate::problem::{Bound, LinearProgram};
-    use crate::{SolverWorkspace, WeightPolytope};
+    use crate::{max_slack_lp, SolverWorkspace, WeightPolytope};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-7, "{a} vs {b}");
@@ -541,29 +531,6 @@ mod tests {
             .collect()
     }
 
-    /// The max-slack LP over `p` with rival rows `rows`, as a general
-    /// program (`t ∈ [−2, 2]`).
-    fn max_slack_lp(p: &WeightPolytope, rows: &[Vec<f64>]) -> LinearProgram {
-        let n = p.dim();
-        let mut lp = LinearProgram::new(n + 1, Objective::Maximize);
-        let mut obj = vec![0.0; n + 1];
-        obj[n] = 1.0;
-        lp.set_objective(&obj);
-        for j in 0..n {
-            lp.set_bound(j, Bound::boxed(p.lower()[j], p.upper()[j]));
-        }
-        lp.set_bound(n, Bound::boxed(-2.0, 2.0));
-        let mut norm = vec![1.0; n + 1];
-        norm[n] = 0.0;
-        lp.add_constraint(&norm, Relation::Eq, 1.0);
-        for c in rows {
-            let mut row = c.clone();
-            row.push(-1.0);
-            lp.add_constraint(&row, Relation::Ge, 0.0);
-        }
-        lp
-    }
-
     fn boxed(n: usize) -> WeightPolytope {
         WeightPolytope::new(&vec![0.05; n], &vec![0.8; n]).unwrap()
     }
@@ -601,6 +568,36 @@ mod tests {
             "warm {stats:?} vs fresh {:?}",
             fresh.stats()
         );
+    }
+
+    #[test]
+    fn workspace_cold_solve_is_identical_to_plain_solve() {
+        // A cold solve on a reused workspace is the same computation as
+        // one on a fresh workspace, whatever the reused one solved before:
+        // identical optimum, point and step count.
+        let mut reused = SolverWorkspace::new();
+        for (n, shift) in [(8, 0.0), (5, 0.05), (8, -0.1), (3, 0.02)] {
+            let p = boxed(n);
+            let rows = max_slack_rows(n, shift);
+            let solve = |ws: &mut SolverWorkspace| {
+                ws.start(&p, &vec![0.0; n]);
+                for c in &rows {
+                    ws.push_row(c);
+                }
+                let t = ws.solve().unwrap();
+                let mut w = vec![0.0; n];
+                ws.weights_into(&mut w);
+                (t, w)
+            };
+            let before = reused.stats().pivots;
+            let (t, w) = solve(&mut reused);
+            let mut fresh = SolverWorkspace::new();
+            let (t0, w0) = solve(&mut fresh);
+            assert_eq!(t.to_bits(), t0.to_bits());
+            assert_eq!(w, w0);
+            assert_eq!(reused.stats().pivots - before, fresh.stats().pivots);
+            assert_close(t, max_slack_lp(&p, &rows).solve().unwrap().objective);
+        }
     }
 
     #[test]

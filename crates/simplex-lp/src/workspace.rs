@@ -1,22 +1,7 @@
 //! The bounded-variable simplex for the potential-optimality LP family
-//! (see the crate docs):
-//!
-//! ```text
-//! max t   s.t.  c_k · w ≥ t   for each rival row k,   w ∈ W,   t ≤ 2
-//! ```
-//!
-//! A nonbasic variable sits at its lower or upper bound and the primal
-//! ratio test may flip it to the other one, so the box costs no tableau
-//! rows. The tableau is condensed: the normalization row plus one row per
-//! rival, each over the `m` nonbasic columns only. Appending a row changes
-//! no reduced cost, so the basis stays dual feasible and dual simplex
-//! steps re-optimize from it (Chvátal, *Linear Programming*, 1983, ch. 8
-//! and 10). `t` has no lower bound, so the LP is feasible and bounded for
-//! any rows; for utility-difference rows (`c_kj ∈ [−1, 1]`, so `t* ≥ −1`)
-//! the optimum is the one of the general formulation with `t` boxed in
-//! `[−2, 2]`.
+//! ([`SolverWorkspace`]) and its counters.
 
-use crate::{LpError, WeightPolytope, EPS};
+use crate::{Bound, LinearProgram, LpError, Objective, Relation, WeightPolytope, EPS};
 
 /// Upper bound of `t`. Utilities live in `[0, 1]`, so only an LP without
 /// rival rows reaches it.
@@ -86,13 +71,22 @@ impl SolveStats {
     }
 }
 
-/// The bounded-variable simplex for the max-slack family (see the module
-/// docs), with its tableau kept between solves so rows can be appended.
+/// The bounded-variable simplex for `max t` s.t. `c_k · w ≥ t` for each
+/// rival row `k`, `w` in the weight polytope and `t ≤ 2`, with its
+/// tableau kept between solves so rows can be appended.
 ///
-/// Variables: `w_0 … w_{m−1}` are `0 … m−1`, `t` is `m`, and the slack
-/// `c_r·w − t ≥ 0` of rival row `r ≥ 1` is `m + r`. Row 0 is the
-/// normalization row. All buffers are reused, so after the first LP of a
-/// given size a solve allocates nothing.
+/// A nonbasic variable sits at its lower or upper bound and the primal
+/// ratio test may flip it to the other one, so the box costs no tableau
+/// rows: the condensed tableau holds the normalization row (row 0) and
+/// one row per rival, over the `m` nonbasic columns only. Appending a row
+/// changes no reduced cost, so dual simplex steps re-optimize from the
+/// old basis (Chvátal, *Linear Programming*, 1983, ch. 8 and 10). `t` has
+/// no lower bound, so the LP is feasible and bounded for any rows; for
+/// utility-difference rows (`c_kj ∈ [−1, 1]`) the optimum is that of the
+/// general formulation with `t` boxed in `[−2, 2]`. Variables: `w_j` is
+/// `j`, `t` is `m`, and the slack `c_r·w − t` of row `r ≥ 1` is `m + r`.
+/// Buffers are reused, so a solve loop allocates nothing once its
+/// largest LP is reached.
 ///
 /// ```
 /// use simplex_lp::{SolverWorkspace, WeightPolytope};
@@ -527,6 +521,31 @@ impl SolverWorkspace {
         self.basic[leaving] = false;
         self.pos[leaving] = q;
     }
+}
+
+/// The max-slack LP over `polytope` with rival rows `rows`, as a general
+/// [`LinearProgram`] over `(w, t)` with `t` boxed in `[−2, 2]`: the
+/// formulation [`SolverWorkspace`] replaces, kept as the cold reference
+/// the tests compare it with.
+pub fn max_slack_lp(polytope: &WeightPolytope, rows: &[Vec<f64>]) -> LinearProgram {
+    let m = polytope.dim();
+    let mut lp = LinearProgram::new(m + 1, Objective::Maximize);
+    let mut obj = vec![0.0; m + 1];
+    obj[m] = 1.0;
+    lp.set_objective(&obj);
+    for j in 0..m {
+        lp.set_bound(j, Bound::boxed(polytope.lower()[j], polytope.upper()[j]));
+    }
+    lp.set_bound(m, Bound::boxed(-2.0, 2.0));
+    let mut norm = vec![1.0; m + 1];
+    norm[m] = 0.0;
+    lp.add_constraint(&norm, Relation::Eq, 1.0);
+    for c in rows {
+        let mut row = c.clone();
+        row.push(-1.0);
+        lp.add_constraint(&row, Relation::Ge, 0.0);
+    }
+    lp
 }
 
 #[cfg(test)]

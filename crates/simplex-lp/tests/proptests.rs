@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use simplex_lp::{
-    minimize_via_lp, Bound, GreedyScratch, LinearProgram, Objective, Relation, SolverWorkspace,
-    Status, WeightPolytope, EPS, POUR_LANES,
+    max_slack_lp, minimize_via_lp, Bound, GreedyScratch, LinearProgram, Objective, Relation,
+    SolverWorkspace, Status, WeightPolytope, EPS, POUR_LANES,
 };
 
 /// Strategy: a feasible box-on-simplex polytope of dimension 2..=8.
@@ -113,29 +113,6 @@ fn sorted_pour(p: &WeightPolytope, c: &[f64], maximize: bool) -> (f64, Vec<f64>)
         remaining -= add;
     }
     (c.iter().zip(&w).map(|(a, b)| a * b).sum(), w)
-}
-
-/// The max-slack LP as a general program with `t` boxed in `[−2, 2]`,
-/// the formulation the bounded-variable solver replaces.
-fn max_slack_lp(p: &WeightPolytope, rows: &[Vec<f64>]) -> LinearProgram {
-    let m = p.dim();
-    let mut lp = LinearProgram::new(m + 1, Objective::Maximize);
-    let mut obj = vec![0.0; m + 1];
-    obj[m] = 1.0;
-    lp.set_objective(&obj);
-    for j in 0..m {
-        lp.set_bound(j, Bound::boxed(p.lower()[j], p.upper()[j]));
-    }
-    lp.set_bound(m, Bound::boxed(-2.0, 2.0));
-    let mut norm = vec![1.0; m + 1];
-    norm[m] = 0.0;
-    lp.add_constraint(&norm, Relation::Eq, 1.0);
-    for c in rows {
-        let mut row = c.clone();
-        row.push(-1.0);
-        lp.add_constraint(&row, Relation::Ge, 0.0);
-    }
-    lp
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {

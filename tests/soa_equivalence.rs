@@ -36,9 +36,7 @@ use maut::prelude::*;
 use maut_sense::{dominance, intensity, potential, DominanceOutcome, MonteCarlo, MonteCarloConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simplex_lp::{
-    Bound, LinearProgram, Objective, Relation, SolverWorkspace, Status, WeightPolytope,
-};
+use simplex_lp::{max_slack_lp, SolverWorkspace, Status, WeightPolytope};
 
 /// A random, always-valid decision model: mixed discrete / continuous
 /// attributes, occasional missing performances, and (for even seeds) a
@@ -158,31 +156,19 @@ fn reference_potential(ctx: &EvalContext) -> Vec<(bool, f64)> {
     let (u_lo, u_hi) = ctx.model().bound_utility_matrices();
     let polytope = dominance::weight_polytope_ctx(ctx);
     let n = u_lo.len();
-    let n_attr = polytope.dim();
     (0..n)
         .map(|i| {
-            let mut lp = LinearProgram::new(n_attr + 1, Objective::Maximize);
-            let mut obj = vec![0.0; n_attr + 1];
-            obj[n_attr] = 1.0;
-            lp.set_objective(&obj);
-            for j in 0..n_attr {
-                lp.set_bound(j, Bound::boxed(polytope.lower()[j], polytope.upper()[j]));
-            }
-            lp.set_bound(n_attr, Bound::boxed(-2.0, 2.0));
-            let mut norm = vec![1.0; n_attr + 1];
-            norm[n_attr] = 0.0;
-            lp.add_constraint(&norm, Relation::Eq, 1.0);
-            for (k, u_lo_k) in u_lo.iter().enumerate() {
-                if k == i {
-                    continue;
-                }
-                let mut row = vec![0.0; n_attr + 1];
-                for (r, (hi, lo)) in row.iter_mut().zip(u_hi[i].iter().zip(u_lo_k)) {
-                    *r = hi - lo;
-                }
-                row[n_attr] = -1.0;
-                lp.add_constraint(&row, Relation::Ge, 0.0);
-            }
+            let rows: Vec<Vec<f64>> = (0..n)
+                .filter(|&k| k != i)
+                .map(|k| {
+                    u_hi[i]
+                        .iter()
+                        .zip(&u_lo[k])
+                        .map(|(hi, lo)| hi - lo)
+                        .collect()
+                })
+                .collect();
+            let lp = max_slack_lp(&polytope, &rows);
             let sol = lp.solve().expect("well-formed LP");
             match sol.status {
                 Status::Optimal => (sol.objective >= -1e-9, sol.objective),
@@ -294,30 +280,6 @@ fn check_case(seed: u64, max_alts: usize, max_attrs: usize, trials: usize, with_
             assert!((a.slack - slack).abs() <= 1e-7, "slack, seed {seed}");
         }
     }
-}
-
-/// The max-slack LP `max t` over `polytope` with rival rows
-/// `c_k·w ≥ t`, as a general program with `t` boxed in `[−2, 2]` — the
-/// cold two-phase reference for the bounded-variable solver.
-fn max_slack_lp(polytope: &WeightPolytope, rows: &[Vec<f64>]) -> LinearProgram {
-    let n_attr = polytope.dim();
-    let mut lp = LinearProgram::new(n_attr + 1, Objective::Maximize);
-    let mut obj = vec![0.0; n_attr + 1];
-    obj[n_attr] = 1.0;
-    lp.set_objective(&obj);
-    for j in 0..n_attr {
-        lp.set_bound(j, Bound::boxed(polytope.lower()[j], polytope.upper()[j]));
-    }
-    lp.set_bound(n_attr, Bound::boxed(-2.0, 2.0));
-    let mut norm = vec![1.0; n_attr + 1];
-    norm[n_attr] = 0.0;
-    lp.add_constraint(&norm, Relation::Eq, 1.0);
-    for c in rows {
-        let mut row = c.clone();
-        row.push(-1.0);
-        lp.add_constraint(&row, Relation::Ge, 0.0);
-    }
-    lp
 }
 
 /// A random weight polytope of dimension 2..8; some weights fixed.
