@@ -7,7 +7,7 @@
 //! shortest-round-trip encoding the journal depends on.
 
 use gmaa_serve::{
-    FileStore, FsyncPolicy, JournalRecord, MemoryStore, Request, Response, ServeConfig,
+    FileStore, FsyncPolicy, JournalRecord, MemoryStore, Request, Response, ServeConfig, ServeError,
     SessionConfig, SessionManager, SessionSnapshot, SessionStore,
 };
 use maut::{DecisionModel, Interval, Perf};
@@ -481,6 +481,64 @@ fn legacy_snapshot_with_stability_resolution_restores_and_serves() {
         other => panic!("snapshot: {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot whose config asks for zero Monte Carlo trials (written by
+/// hand, or by a server started with such a config) is refused with a
+/// typed error when the session is restored. The shard that owns it keeps
+/// serving its other sessions, and a server whose own session config has
+/// zero trials refuses to create sessions instead of panicking later.
+#[test]
+fn zero_trial_snapshot_is_refused_and_the_shard_keeps_serving() {
+    let store = Arc::new(MemoryStore::new());
+    store
+        .put_snapshot(&SessionSnapshot {
+            session: "zero".into(),
+            model_json: gmaa::model_to_json(&paper()).unwrap(),
+            config: SessionConfig {
+                mc_trials: 0,
+                ..quick()
+            },
+        })
+        .unwrap();
+    let config = ServeConfig {
+        shards: 1,
+        session: quick(),
+        ..ServeConfig::default()
+    };
+    let m = SessionManager::with_store(config, store).unwrap();
+    for _ in 0..2 {
+        assert!(matches!(
+            m.request(Request::Analyze {
+                session: "zero".into(),
+            }),
+            Err(ServeError::InvalidRequest(_))
+        ));
+    }
+    create(&m, "healthy");
+    assert_eq!(analyze(&m, "healthy").monte_carlo.trials, 300);
+
+    let zero = SessionManager::new(ServeConfig {
+        shards: 1,
+        session: SessionConfig {
+            mc_trials: 0,
+            ..quick()
+        },
+        ..ServeConfig::default()
+    });
+    assert!(matches!(
+        zero.request(Request::CreateSession {
+            session: "fresh".into(),
+            model: paper(),
+        }),
+        Err(ServeError::InvalidRequest(_))
+    ));
+    assert!(matches!(
+        zero.request(Request::Analyze {
+            session: "fresh".into(),
+        }),
+        Err(ServeError::UnknownSession(_))
+    ));
 }
 
 /// Adversarial f64 values through the JSON layer the journal and the

@@ -15,23 +15,50 @@
 //!
 //! ## The hot loop
 //!
-//! [`MonteCarlo::run_ctx`] is the batched path: weight vectors are drawn
-//! *sequentially* from the single seeded RNG into a flat sample buffer
-//! (identical stream to the scalar path, draw for draw), then each batch is
-//! scored against the columnar [`maut::BandMatrixSoA`] and ranked with
-//! reused scratch buffers — optionally fanned out over
+//! [`MonteCarlo::run_ctx`] is the batched path. Weight vectors are drawn
+//! *sequentially* from the single seeded RNG into a flat sample buffer,
+//! one 4096-trial batch at a time
+//! ([`statlab::SimplexSampler::sample_batch`], the same stream as the
+//! scalar path, draw for draw). Each batch is then scored against the
+//! columnar [`maut::BandMatrixSoA`] and ranked, optionally fanned out over
 //! [`MonteCarlo::threads`] scoped workers whose integer rank counts merge
-//! order-independently. The result is therefore **identical** for the
-//! scalar reference ([`MonteCarlo::run_scalar_ctx`]), one thread, or N
-//! threads; `tests/soa_equivalence.rs` locks that down differentially.
+//! order-independently.
+//!
+//! Up to [`DENSE_RANK_MAX`] alternatives, ranking is a pairwise sweep with
+//! trials in the SIMD lanes, and most pairs need no sweep at all. Before
+//! any fan-out, the run certifies every pair once: one greedy block pour
+//! per 16 pairs bounds `(midᵢ − midₖ)·w` over the weight polytope the
+//! draws come from (the elicited box, or the whole simplex for the other
+//! classes), widened by the sampler's `1e-9` acceptance tolerance. A pair
+//! whose bound clears a margin has the same order in every trial drawn
+//! from that box. The alternatives are then laid out by how many rivals
+//! certainly beat them ([`statlab::RankWindows`]): each one compares only
+//! the contiguous window of positions holding its uncertified rivals, and
+//! adds the certified-better rivals outside it as a constant. An
+//! alternative with no uncertified rival is neither scored nor compared.
+//! When nothing is certified (deep hierarchies over wide boxes) the
+//! windows span every rival and the kernel is the plain dense sweep.
+//!
+//! The sampler's clamp-and-renormalize fallback can return weights far
+//! outside the box, where the certificate does not hold. So each 16-trial
+//! block checks its weights against the widened box first; a block with
+//! any weight outside it, like a trailing partial block, is scored and
+//! ranked in full. Scores keep their per-trial accumulation order
+//! everywhere, so the result is **identical** for the scalar reference
+//! ([`MonteCarlo::run_scalar_ctx`]), one thread, or N threads;
+//! `tests/soa_equivalence.rs` and the `windowed_kernel_matches_scalar_reference`
+//! property lock that down differentially.
 
+use maut::soa::BandMatrixSoA;
 use maut::weights::AttributeWeights;
 use maut::{par, EvalContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use simplex_lp::{GreedyScratch, WeightPolytope, POUR_LANES};
 use statlab::{
-    Boxplot, MultipleBoxplot, RankAccumulator, RankScratch, RankStats, SimplexSampler, WeightScheme,
+    Boxplot, MultipleBoxplot, PairOrder, RankAccumulator, RankScratch, RankStats, RankWindows,
+    SimplexSampler, WeightScheme,
 };
 
 /// Trials per sample batch: bounds buffer memory (a batch holds
@@ -54,6 +81,19 @@ const DENSE_RANK_MAX: usize = 64;
 /// dynamic kernels with identical results.
 const BLOCK_TRIALS: usize = maut::soa::SCORE_LANES;
 const _: () = assert!(BLOCK_TRIALS == statlab::RANK_LANES, "kernel widths agree");
+
+/// How far outside its interval the sampler still accepts a normalized
+/// weight (`statlab::sampling`): the certificate and the block guard both
+/// use the box widened by exactly this much.
+const BOX_TOLERANCE: f64 = 1e-9;
+
+/// Margin a pair's midpoint-score difference must clear over the whole
+/// widened weight polytope before the run fixes the pair's order: far
+/// above the rounding of an `m`-term dot product of values in `[0, 1]`.
+/// The pour may also stop with up to [`simplex_lp::EPS`] of mass
+/// unpoured, which moves its value by at most `EPS · max |dⱼ|`, so the
+/// certificate adds that term per pair.
+const CERTIFY_MARGIN: f64 = 1e-12;
 
 /// Which of the three GMAA simulation classes to run.
 #[derive(Debug, Clone, PartialEq)]
@@ -231,6 +271,21 @@ impl MonteCarlo {
         }
     }
 
+    /// The weight box every draw of this run lies in unless the
+    /// `Intervals` fallback fires, widened by the sampler's acceptance
+    /// tolerance: the elicited intervals for class 3, `[0, 1]` for the
+    /// classes that sample the whole simplex.
+    fn widened_box(&self, weights: &AttributeWeights) -> (Vec<f64>, Vec<f64>) {
+        let (lower, upper) = match self.config {
+            MonteCarloConfig::ElicitedIntervals => (weights.lows(), weights.upps()),
+            _ => (vec![0.0; weights.len()], vec![1.0; weights.len()]),
+        };
+        (
+            lower.iter().map(|l| l - BOX_TOLERANCE).collect(),
+            upper.iter().map(|u| u + BOX_TOLERANCE).collect(),
+        )
+    }
+
     /// Run the simulation against a shared evaluation context — the batched
     /// hot path: sequential weight generation into a flat sample buffer,
     /// columnar scoring against [`EvalContext::soa`], scratch-reusing rank
@@ -243,42 +298,26 @@ impl MonteCarlo {
         let soa = ctx.soa();
         let names = &ctx.model().alternatives;
         let n_alts = soa.n_alternatives();
+        // The pair certificate is computed once, before any fan-out; the
+        // workers only read it.
+        let dense = (n_alts <= DENSE_RANK_MAX).then(|| {
+            let (lower, upper) = self.widened_box(ctx.weights());
+            WindowKernel::new(soa, lower, upper)
+        });
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut acc = RankAccumulator::new(names.clone());
         let mut samples = vec![0.0; BATCH_TRIALS.min(self.trials) * n_attrs];
         let mut done = 0usize;
         while done < self.trials {
             let batch = BATCH_TRIALS.min(self.trials - done);
-            for chunk in samples[..batch * n_attrs].chunks_exact_mut(n_attrs) {
-                sampler.sample_into(&mut rng, chunk);
-            }
-            let samples = &samples[..batch * n_attrs];
+            let samples = &mut samples[..batch * n_attrs];
+            sampler.sample_batch(&mut rng, samples);
+            let samples = &*samples;
             let parts = par::map_ranges(batch, self.threads, PAR_MIN_TRIALS, |range| {
                 let mut local = RankAccumulator::new(names.clone());
                 let worker = &samples[range.start * n_attrs..range.end * n_attrs];
-                if n_alts <= DENSE_RANK_MAX {
-                    // Blocked transposed pipeline: put trials in the SIMD
-                    // lanes. Per sub-block, flip the samples to
-                    // attribute-major, score all alternatives with one
-                    // broadcast-axpy per (alternative, attribute) cell,
-                    // and count ranks pair-major — bit-identical to the
-                    // per-trial path (same per-trial accumulation order).
-                    let mut samples_t = vec![0.0; BLOCK_TRIALS * n_attrs];
-                    let mut scores_t = vec![0.0; BLOCK_TRIALS * n_alts];
-                    for chunk in worker.chunks(BLOCK_TRIALS * n_attrs) {
-                        let block = chunk.len() / n_attrs;
-                        for (t, sample) in chunk.chunks_exact(n_attrs).enumerate() {
-                            for (j, &w) in sample.iter().enumerate() {
-                                samples_t[j * block + t] = w;
-                            }
-                        }
-                        soa.score_block_transposed(
-                            &samples_t[..block * n_attrs],
-                            block,
-                            &mut scores_t[..block * n_alts],
-                        );
-                        local.record_scores_transposed(&scores_t[..block * n_alts], block);
-                    }
+                if let Some(kernel) = &dense {
+                    kernel.record(soa, worker, &mut local);
                 } else {
                     let mut scores = vec![0.0; n_alts];
                     let mut scratch = RankScratch::default();
@@ -342,10 +381,160 @@ impl MonteCarlo {
     }
 }
 
+/// The dense-model kernel of [`MonteCarlo::run_ctx`] (up to
+/// [`DENSE_RANK_MAX`] alternatives): the run's pair certificate as
+/// [`RankWindows`], the midpoint rows in window position order, and the
+/// box the certificate holds in.
+struct WindowKernel {
+    windows: RankWindows,
+    /// `rows[p·m + j]`: midpoint utility of the alternative at position
+    /// `p` on attribute `j`.
+    rows: Vec<f64>,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl WindowKernel {
+    /// Certify every pair over the polytope of `lower`/`upper` and plan
+    /// the windows. A box that cannot meet the simplex certifies nothing.
+    fn new(soa: &BandMatrixSoA, lower: Vec<f64>, upper: Vec<f64>) -> WindowKernel {
+        let (n, m) = (soa.n_alternatives(), soa.n_attributes());
+        let mut rel = vec![PairOrder::Unknown; n * n];
+        if let Some(polytope) = WeightPolytope::new(&lower, &upper) {
+            let center = polytope.centroid();
+            let mut coeffs = vec![0.0; m * POUR_LANES];
+            let mut scratch = GreedyScratch::default();
+            certify_pairs(&polytope, &center, soa, &mut rel, &mut coeffs, &mut scratch);
+        }
+        let windows = RankWindows::new(n, &rel);
+        let mut rows = Vec::with_capacity(n * m);
+        for &alt in windows.order() {
+            rows.extend((0..m).map(|j| soa.mid(alt, j)));
+        }
+        WindowKernel {
+            windows,
+            rows,
+            lower,
+            upper,
+        }
+    }
+
+    /// Rank the trials of `samples` (row-major, one weight vector per
+    /// trial) into `acc`. Full blocks whose weights all lie in the box go
+    /// through the windows; a trailing partial block, or a block holding a
+    /// fallback draw outside the box, is scored and ranked in full.
+    fn record(&self, soa: &BandMatrixSoA, samples: &[f64], acc: &mut RankAccumulator) {
+        let (n, m) = (soa.n_alternatives(), soa.n_attributes());
+        let mut samples_t = vec![0.0; BLOCK_TRIALS * m];
+        let mut scores_t = vec![0.0; BLOCK_TRIALS * n];
+        for chunk in samples.chunks(BLOCK_TRIALS * m) {
+            let block = chunk.len() / m;
+            let samples_t = &mut samples_t[..block * m];
+            let inside = transpose_in_box(chunk, &self.lower, &self.upper, samples_t);
+            if inside && block == BLOCK_TRIALS {
+                score_positions(&self.rows, self.windows.scored(), samples_t, &mut scores_t);
+                acc.record_windows_16(&scores_t, &self.windows);
+            } else {
+                let scores_t = &mut scores_t[..block * n];
+                soa.score_block_transposed(samples_t, block, scores_t);
+                acc.record_scores_transposed(scores_t, block);
+            }
+        }
+    }
+}
+
+/// Fill `rel` (`n × n`, all `Unknown` on entry) with every pair order the
+/// polytope decides. Each pair is oriented by its sign at `center`, a
+/// point of the polytope, since that is the only side it could be
+/// certified on; one pour per pair then settles it. `(i, k)` becomes
+/// `Above` (and `(k, i)` `Below`) when the minimum of `(midᵢ − midₖ)·w`
+/// over the polytope clears the margin. [`POUR_LANES`] pairs go into
+/// each block pour; `coeffs` holds one attribute-major block.
+fn certify_pairs(
+    polytope: &WeightPolytope,
+    center: &[f64],
+    soa: &BandMatrixSoA,
+    rel: &mut [PairOrder],
+    coeffs: &mut [f64],
+    scratch: &mut GreedyScratch,
+) {
+    let n = soa.n_alternatives();
+    let mut pairs = (0..n).flat_map(|i| (i + 1..n).map(move |k| (i, k)));
+    loop {
+        let mut lanes = [(0, 0); POUR_LANES];
+        let mut margin = [CERTIFY_MARGIN; POUR_LANES];
+        let mut live = 0;
+        for ((lane, slack), (i, k)) in lanes.iter_mut().zip(&mut margin).zip(&mut pairs) {
+            let at: f64 = (0..center.len())
+                .map(|j| (soa.mid(i, j) - soa.mid(k, j)) * center[j])
+                .sum();
+            let (hi, lo) = if at < 0.0 { (k, i) } else { (i, k) };
+            *lane = (hi, lo);
+            let mut widest = 0.0f64;
+            for (j, c) in coeffs.iter_mut().skip(live).step_by(POUR_LANES).enumerate() {
+                let col = soa.mid_col(j);
+                *c = col[hi] - col[lo];
+                widest = widest.max(c.abs());
+            }
+            *slack += simplex_lp::EPS * widest;
+            live += 1;
+        }
+        if live == 0 {
+            return;
+        }
+        let min = polytope.minimize_block(coeffs, live, scratch);
+        for ((&(hi, lo), &low), &slack) in lanes[..live].iter().zip(&min).zip(&margin) {
+            if low > slack {
+                rel[hi * n + lo] = PairOrder::Above;
+                rel[lo * n + hi] = PairOrder::Below;
+            }
+        }
+    }
+}
+
+/// Copy a row-major block of trials into `samples_t` attribute-major
+/// (`samples_t[j·block + t]`), and report whether every weight lies in
+/// `lower..=upper`.
+fn transpose_in_box(chunk: &[f64], lower: &[f64], upper: &[f64], samples_t: &mut [f64]) -> bool {
+    let m = lower.len();
+    let block = chunk.len() / m;
+    let mut inside = true;
+    for (t, sample) in chunk.chunks_exact(m).enumerate() {
+        for (j, ((&w, &l), &u)) in sample.iter().zip(lower).zip(upper).enumerate() {
+            samples_t[j * block + t] = w;
+            inside &= (w >= l) & (w <= u);
+        }
+    }
+    inside
+}
+
+/// Score the given positions of a full block: `scores_t[p·BLOCK_TRIALS +
+/// t]` for each `p` in `positions`, from `rows` (`m` midpoints per
+/// position) and the attribute-major `samples_t`. Each score accumulates
+/// `u · w` over the attributes in ascending order from `0.0`, exactly as
+/// [`BandMatrixSoA::score_block_transposed`] does, so the values are
+/// bit-identical to it.
+fn score_positions(rows: &[f64], positions: &[usize], samples_t: &[f64], scores_t: &mut [f64]) {
+    const T: usize = BLOCK_TRIALS;
+    let (weights, _) = samples_t.as_chunks::<T>();
+    let m = weights.len();
+    let (out, _) = scores_t.as_chunks_mut::<T>();
+    for &p in positions {
+        let mut acc = [0.0f64; T];
+        for (&u, w_row) in rows[p * m..(p + 1) * m].iter().zip(weights) {
+            for (a, &w) in acc.iter_mut().zip(w_row) {
+                *a += u * w;
+            }
+        }
+        out[p] = acc;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use maut::prelude::*;
+    use maut::utility::{DiscreteUtility, UtilityFunction};
 
     fn ctx(m: &DecisionModel) -> EvalContext {
         EvalContext::new(m.clone()).expect("valid model")
@@ -527,6 +716,62 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn certificate_fixes_the_ranks_the_elicited_box_decides() {
+        // Inside the elicited box (x ∈ [0.3, 0.6], y ∈ [0.4, 0.7]) `top`
+        // beats and `bottom` trails everyone in every trial, so both get a
+        // fixed rank and are never scored; only the two spiky rivals,
+        // which swap with the weights, are swept against each other.
+        let c = ctx(&model());
+        let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 1, 1);
+        let (lower, upper) = mc.widened_box(c.weights());
+        let kernel = WindowKernel::new(c.soa(), lower, upper);
+        let order = kernel.windows.order();
+        assert_eq!((order[0], order[3]), (0, 3));
+        let scored: Vec<usize> = kernel.windows.scored().iter().map(|&p| order[p]).collect();
+        assert_eq!(scored, vec![1, 2]);
+
+        // Over the whole simplex only `top` over `bottom` holds
+        // everywhere (`top` ties `spiky-x` at `w_y = 0`), so every
+        // alternative keeps an uncertified rival and is scored.
+        let mc = MonteCarlo::new(MonteCarloConfig::Random, 1, 1);
+        let (lower, upper) = mc.widened_box(c.weights());
+        let kernel = WindowKernel::new(c.soa(), lower, upper);
+        assert_eq!(kernel.windows.scored().len(), 4);
+    }
+
+    #[test]
+    fn blocks_with_draws_outside_the_box_take_the_full_path() {
+        // No normalized draw fits x = 0.5, y ∈ [0.5, 0.6], so every trial
+        // is a clamp-and-renormalize fallback, with x pulled down to
+        // about 0.48–0.5. In the (widened) box x ≈ 0.5, where `x-heavy`
+        // (1, 0) beats `y-heavy` (0, 0.95), so the pair is certified; but
+        // below x ≈ 0.487 the order flips. Only the block guard keeps
+        // those trials off the certificate.
+        let mut b = DecisionModelBuilder::new("fallback");
+        let x = b.discrete_attribute("x", "X", &["0", "1", "2"]);
+        let y = b.discrete_attribute("y", "Y", &["0", "1", "2"]);
+        let levels = DiscreteUtility::new(vec![
+            Interval::point(0.0),
+            Interval::point(0.95),
+            Interval::point(1.0),
+        ]);
+        b.set_utility(x, UtilityFunction::Discrete(levels.clone()));
+        b.set_utility(y, UtilityFunction::Discrete(levels));
+        b.attach_attributes_to_root(&[(x, Interval::point(0.5)), (y, Interval::new(0.5, 0.6))]);
+        b.alternative("x-heavy", vec![Perf::level(2), Perf::level(0)]);
+        b.alternative("y-heavy", vec![Perf::level(0), Perf::level(1)]);
+        let c = ctx(&b.build().unwrap());
+        let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 160, 9);
+        let (lower, upper) = mc.widened_box(c.weights());
+        let kernel = WindowKernel::new(c.soa(), lower, upper);
+        assert!(kernel.windows.scored().is_empty(), "the pair is certified");
+        let reference = mc.run_scalar_ctx(&c);
+        let flipped = reference.rank_counts()[0][1];
+        assert!(flipped > 0 && flipped < 160, "{flipped} flips");
+        assert_eq!(mc.run_ctx(&c).rank_counts(), reference.rank_counts());
     }
 
     #[test]

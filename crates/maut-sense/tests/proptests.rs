@@ -139,3 +139,127 @@ proptest! {
         prop_assert_eq!(mc.stats[1].min, 2);
     }
 }
+
+/// A model for the Monte Carlo kernel differential: `n_alts` alternatives
+/// over `n_attrs` discrete attributes with `levels` of the level utilities
+/// `0, 1, 0.95, ½, ½`. Duplicate rows and equal midpoints are common, and
+/// from three levels on some certified pairs (`(1, 0)` over `(0, 0.95)`)
+/// flip order just outside the box. One of five weight boxes:
+///
+/// - `0`: moderate intervals around the uniform weights;
+/// - `1`: `1e-10`-wide intervals, just below the uniform weights;
+/// - `2`: a box no normalized draw fits, so every draw takes the sampler's
+///   clamp-and-renormalize fallback and leaves the box;
+/// - `3`: every weight in `[0, 1]`;
+/// - `4`: random intervals around the uniform weights.
+fn kernel_model(
+    n_attrs: usize,
+    n_alts: usize,
+    levels: usize,
+    box_kind: usize,
+    seed: u64,
+) -> DecisionModel {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+    let base = 1.0 / n_attrs as f64;
+    let mut b = DecisionModelBuilder::new("kernel");
+    let mut pairs = Vec::new();
+    for j in 0..n_attrs {
+        let names: Vec<String> = (0..levels).map(|l| l.to_string()).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let a = b.discrete_attribute(format!("a{j}"), format!("A{j}"), &names);
+        let per_level = [0.0, 1.0, 0.95, 0.5, 0.5][..levels]
+            .iter()
+            .map(|&u| Interval::point(u))
+            .collect();
+        b.set_utility(
+            a,
+            UtilityFunction::Discrete(DiscreteUtility::new(per_level)),
+        );
+        let weight = match box_kind {
+            0 => Interval::new(base * 0.6, (base * 1.4).min(1.0)),
+            1 => Interval::new(base - 1e-10, base),
+            2 if n_attrs == 1 => Interval::point(1.0),
+            2 if j == 0 => Interval::point(0.5),
+            2 => {
+                let share = 1.0 / (n_attrs - 1) as f64;
+                Interval::new(0.5 * share, 0.6 * share)
+            }
+            3 => Interval::new(0.0, 1.0),
+            _ => {
+                let lo = base * unit(next());
+                Interval::new(lo, (base * (1.0 + 2.0 * unit(next()))).min(1.0))
+            }
+        };
+        pairs.push((a, weight));
+    }
+    b.attach_attributes_to_root(&pairs);
+    for i in 0..n_alts {
+        let perfs: Vec<Perf> = (0..n_attrs)
+            .map(|_| Perf::level((next() % levels as u64) as usize))
+            .collect();
+        b.alternative(format!("alt{i}"), perfs);
+    }
+    b.build().expect("valid")
+}
+
+fn kernel_config(kind: usize, n_attrs: usize, seed: u64) -> MonteCarloConfig {
+    match kind {
+        0 => MonteCarloConfig::Random,
+        1 => {
+            let shift = seed as usize % n_attrs;
+            MonteCarloConfig::RankOrder((0..n_attrs).map(|j| (j + shift) % n_attrs).collect())
+        }
+        2 => {
+            let split = 1 + seed as usize % n_attrs;
+            let groups = vec![(0..split).collect(), (split..n_attrs).collect::<Vec<_>>()];
+            MonteCarloConfig::PartialRankOrder(
+                groups.into_iter().filter(|g| !g.is_empty()).collect(),
+            )
+        }
+        _ => MonteCarloConfig::ElicitedIntervals,
+    }
+}
+
+proptest! {
+    /// The batched Monte Carlo kernel, which fixes the order of the pairs
+    /// the weight polytope decides and compares only the rest, counts
+    /// exactly the ranks of the scalar reference: on tie-heavy models,
+    /// under every weight box of [`kernel_model`] (including `1e-10`-wide
+    /// boxes and boxes whose every draw is a fallback outside the box),
+    /// under all four simulation classes, with alternative counts on both
+    /// sides of the dense-kernel limit, trial counts that are not a
+    /// multiple of the 16-trial block, and one to three workers.
+    #[test]
+    fn windowed_kernel_matches_scalar_reference(
+        shape in (1usize..6, 1usize..81, 2usize..6),
+        run in (1usize..300, 1usize..4, 0u64..1_000_000),
+    ) {
+        let ((n_attrs, n_alts, levels), (trials, threads, seed)) = (shape, run);
+        // Every box under the elicited-interval class, which samples it;
+        // the other three classes sample the whole simplex, so one box
+        // serves them.
+        let runs = (0..5).map(|b| (b, 3)).chain((0..3).map(|c| (0, c)));
+        for (box_kind, config_kind) in runs {
+            let model = kernel_model(n_attrs, n_alts, levels, box_kind, seed);
+            let c = ctx(&model);
+            let config = kernel_config(config_kind, n_attrs, seed);
+            let mc = MonteCarlo::new(config, trials, seed).with_threads(threads);
+            let reference = mc.run_scalar_ctx(&c);
+            let batched = mc.run_ctx(&c);
+            prop_assert_eq!(
+                reference.rank_counts(),
+                batched.rank_counts(),
+                "box {} class {}",
+                box_kind,
+                config_kind
+            );
+        }
+    }
+}

@@ -11,6 +11,127 @@ use serde::{Deserialize, Serialize};
 /// their trials into sub-blocks of exactly this size for the fast path.
 pub const RANK_LANES: usize = 16;
 
+/// How one alternative of a pair stands against the other in *every*
+/// trial of a run, when that is known before the run starts (see
+/// [`RankWindows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairOrder {
+    /// Either may score higher; the trials must compare them.
+    Unknown,
+    /// Scores strictly higher in every trial.
+    Above,
+    /// Scores strictly lower in every trial.
+    Below,
+}
+
+/// One alternative's share of the windowed rank kernel.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    alt: usize,
+    /// The alternative's own position.
+    pos: usize,
+    /// The window of positions holding every rival whose order is
+    /// unknown, as two position ranges that leave out `pos` itself.
+    spans: [(usize, usize); 2],
+    /// Rivals known to score higher that sit outside the window.
+    base: usize,
+}
+
+/// The per-run plan of [`RankAccumulator::record_windows_16`]: which
+/// alternatives each trial must compare, given the pairs whose order is
+/// fixed for the whole run.
+///
+/// The alternatives are laid out in *positions*, sorted by how many rivals
+/// are known to beat them (model order on ties), so the rivals an
+/// alternative cannot be ordered against tend to sit next to it. Each
+/// alternative with such rivals gets the contiguous window of positions
+/// that holds all of them, and a base count of the known-better rivals
+/// outside the window; its `TieBreak::Min` rank in a trial is
+/// `1 + base + #{window scores strictly above its own}`, the window
+/// leaving out the alternative itself. Comparing inside the window is
+/// exact for known pairs too, so only the outside needs the certificate.
+/// An alternative with no unknown rival has a fixed rank and is neither
+/// scored nor compared.
+#[derive(Debug, Clone, Default)]
+pub struct RankWindows {
+    order: Vec<usize>,
+    sweeps: Vec<Sweep>,
+    fixed: Vec<(usize, usize)>,
+    scored: Vec<usize>,
+}
+
+impl RankWindows {
+    /// Plan the kernel for `n` alternatives from an `n × n` pair relation,
+    /// `rel[i·n + k]` being how `i` stands against `k`. The relation must
+    /// be antisymmetric (`Above` at `(i, k)` exactly when `Below` at
+    /// `(k, i)`); the diagonal is ignored.
+    pub fn new(n: usize, rel: &[PairOrder]) -> RankWindows {
+        assert_eq!(rel.len(), n * n, "pair relation arity");
+        let row = |i: usize| &rel[i * n..(i + 1) * n];
+        let beaten_by: Vec<usize> = (0..n)
+            .map(|i| {
+                let row = row(i).iter().enumerate();
+                row.filter(|&(k, &r)| k != i && r == PairOrder::Below)
+                    .count()
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| beaten_by[i]);
+        let mut pos_of = vec![0; n];
+        for (p, &alt) in order.iter().enumerate() {
+            pos_of[alt] = p;
+        }
+        let mut plan = RankWindows::default();
+        let mut scored = vec![false; n];
+        for (pos, &alt) in order.iter().enumerate() {
+            let (mut lo, mut hi) = (n, 0);
+            for (k, &r) in row(alt).iter().enumerate() {
+                if k != alt && r == PairOrder::Unknown {
+                    lo = lo.min(pos_of[k]);
+                    hi = hi.max(pos_of[k] + 1);
+                }
+            }
+            if lo >= hi {
+                plan.fixed.push((alt, beaten_by[alt]));
+                continue;
+            }
+            let base = row(alt)
+                .iter()
+                .enumerate()
+                .filter(|&(k, &r)| {
+                    k != alt && r == PairOrder::Below && !(lo..hi).contains(&pos_of[k])
+                })
+                .count();
+            scored[lo..hi].fill(true);
+            let spans = if (lo..hi).contains(&pos) {
+                [(lo, pos), (pos + 1, hi)]
+            } else {
+                [(lo, hi), (hi, hi)]
+            };
+            plan.sweeps.push(Sweep {
+                alt,
+                pos,
+                spans,
+                base,
+            });
+        }
+        plan.scored = (0..n).filter(|&p| scored[p]).collect();
+        plan.order = order;
+        plan
+    }
+
+    /// The alternative at each position.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// The positions whose scores [`RankAccumulator::record_windows_16`]
+    /// reads, ascending: the union of every window.
+    pub fn scored(&self) -> &[usize] {
+        &self.scored
+    }
+}
+
 /// Tie-handling policy for [`rank_vector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieBreak {
@@ -339,6 +460,38 @@ impl RankAccumulator {
         self.trials += T;
     }
 
+    /// Record a block of [`RANK_LANES`] trials through a [`RankWindows`]
+    /// plan. `scores_t` is position-major (`scores_t[p·RANK_LANES + t]` is
+    /// the score of the alternative at position `p` in trial `t`); only
+    /// the plan's [`RankWindows::scored`] positions are read. The counts
+    /// equal those of [`RankAccumulator::record_scores_transposed`] on the
+    /// same trials, provided every pair the plan was built as `Above` or
+    /// `Below` really is ordered so in each of them.
+    pub fn record_windows_16(&mut self, scores_t: &[f64], plan: &RankWindows) {
+        const T: usize = RANK_LANES;
+        assert_eq!(scores_t.len(), plan.order.len() * T, "score block arity");
+        let (rows, _) = scores_t.as_chunks::<T>();
+        for s in &plan.sweeps {
+            let own = rows[s.pos];
+            let mut acc = [s.base as f64; T];
+            for &(lo, hi) in &s.spans {
+                for rival in &rows[lo..hi] {
+                    for ((a, &sk), &si) in acc.iter_mut().zip(rival).zip(&own) {
+                        *a += if sk > si { 1.0 } else { 0.0 };
+                    }
+                }
+            }
+            let row = &mut self.counts[s.alt];
+            for &b in &acc {
+                row[b as usize] += 1;
+            }
+        }
+        for &(alt, rank0) in &plan.fixed {
+            self.counts[alt][rank0] += T;
+        }
+        self.trials += T;
+    }
+
     /// Fold another accumulator's counts into this one (same label set).
     /// Integer counts make the fold order-independent, so parallel Monte
     /// Carlo workers merge deterministically whatever the thread count.
@@ -584,6 +737,48 @@ mod tests {
         }
         assert_eq!(per_trial.counts(), blocked.counts());
         assert_eq!(per_trial.trials(), blocked.trials());
+    }
+
+    #[test]
+    fn windowed_recording_matches_the_dense_kernel() {
+        // Five alternatives; `a0` beats everyone, `a4` trails everyone, and
+        // `a1` is known to beat `a3`. The rest (a1–a2, a2–a3) are unknown.
+        use PairOrder::{Above, Below, Unknown};
+        let n = 5;
+        let mut rel = vec![Unknown; n * n];
+        let mut set = |i: usize, k: usize| {
+            rel[i * n + k] = Above;
+            rel[k * n + i] = Below;
+        };
+        for k in 1..4 {
+            set(0, k);
+            set(k, 4);
+        }
+        set(0, 4);
+        set(1, 3);
+        let plan = RankWindows::new(n, &rel);
+        assert_eq!(plan.order(), &[0, 1, 2, 3, 4]);
+        assert_eq!(plan.scored(), &[1, 2, 3]);
+
+        // 16 trials consistent with the relation, ties between a1 and a2
+        // included; a0 and a4 are never read.
+        let labels: Vec<String> = (0..n).map(|i| format!("a{i}")).collect();
+        let mut scores_t = vec![0.0; n * RANK_LANES];
+        for t in 0..RANK_LANES {
+            let wobble = (t % 4) as f64 * 0.1;
+            let trial = [9.0, 0.5 + wobble, 0.6, 0.2 + wobble, -9.0];
+            for (alt, &s) in trial.iter().enumerate() {
+                scores_t[alt * RANK_LANES + t] = s;
+            }
+        }
+        let mut dense = RankAccumulator::new(labels.clone());
+        dense.record_scores_transposed(&scores_t, RANK_LANES);
+        let mut windowed = RankAccumulator::new(labels);
+        scores_t[..RANK_LANES].fill(f64::NAN);
+        scores_t[4 * RANK_LANES..].fill(f64::NAN);
+        windowed.record_windows_16(&scores_t, &plan);
+        assert_eq!(dense.counts(), windowed.counts());
+        assert_eq!(windowed.trials(), RANK_LANES);
     }
 
     #[test]

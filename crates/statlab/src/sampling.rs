@@ -28,8 +28,12 @@ pub enum WeightScheme {
     PartialRankOrder { groups: Vec<Vec<usize>> },
     /// Each weight drawn uniformly from `[low, upp]`, then normalized to sum
     /// to one; the draw is rejected if normalization pushes any component
-    /// outside its interval (the procedure GMAA documents for simulating
-    /// within elicited intervals).
+    /// more than `1e-9` outside its interval (the procedure GMAA documents
+    /// for simulating within elicited intervals). After 1000 rejections
+    /// the sampler falls back to one clamped-and-renormalized draw, which
+    /// sums to one but **can leave the box**: the renormalization after
+    /// the clamp moves every weight again, by as much as the clamp moved
+    /// the sum (see [`SimplexSampler::sample_into`]).
     Intervals { lower: Vec<f64>, upper: Vec<f64> },
 }
 
@@ -41,6 +45,9 @@ pub struct SimplexSampler {
     /// Max rejection attempts for `Intervals` before falling back to the
     /// clamped-renormalized draw (keeps the sampler total).
     max_rejects: usize,
+    /// `upp − low` per weight for `Intervals` (empty otherwise): the span
+    /// `random_range(low..=upp)` would recompute on every draw.
+    span: Vec<f64>,
 }
 
 impl SimplexSampler {
@@ -85,10 +92,17 @@ impl SimplexSampler {
                 );
             }
         }
+        let span = match &scheme {
+            WeightScheme::Intervals { lower, upper } => {
+                upper.iter().zip(lower).map(|(u, l)| u - l).collect()
+            }
+            _ => Vec::new(),
+        };
         SimplexSampler {
             n,
             scheme,
             max_rejects: 1000,
+            span,
         }
     }
 
@@ -101,7 +115,8 @@ impl SimplexSampler {
     }
 
     /// Draw one weight vector (sums to 1, all components ≥ 0, scheme
-    /// constraints satisfied up to the documented `Intervals` fallback).
+    /// constraints satisfied except by the documented `Intervals`
+    /// fallback, which can leave the box).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let mut out = vec![0.0; self.n];
         self.sample_into(rng, &mut out);
@@ -114,6 +129,15 @@ impl SimplexSampler {
     /// sort scratch per draw. Consumes exactly the same RNG stream as
     /// [`SimplexSampler::sample`] (draw for draw), so the two produce
     /// identical sequences from the same seed.
+    ///
+    /// An `Intervals` draw is accepted only when every normalized weight
+    /// lies within `1e-9` of its interval. If 1000 draws in a row are
+    /// rejected, one fallback draw clamps the normalized weights into the
+    /// box and renormalizes once. That result sums to one, but the second
+    /// normalization can push weights back out of the box, by far more
+    /// than `1e-9` when the box is narrow (lower `[0.5, 0.5]`, upper
+    /// `[0.5, 0.6]` can give a first weight of `0.485`). Callers that rely
+    /// on the box must check the weights themselves.
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         assert_eq!(out.len(), self.n, "sample buffer arity");
         match &self.scheme {
@@ -153,8 +177,9 @@ impl SimplexSampler {
                     // second; with one reciprocal instead of n divisions.
                     // The hot loop spends real time here.
                     let mut sum = 0.0;
-                    for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
-                        let v = rng.random_range(l..=u);
+                    for ((x, &l), &s) in out.iter_mut().zip(lower).zip(&self.span) {
+                        // `random_range(l..=u)`, with `u − l` precomputed.
+                        let v = l + rng.random::<f64>() * s;
                         *x = v;
                         sum += v;
                     }
@@ -172,11 +197,13 @@ impl SimplexSampler {
                         return;
                     }
                 }
-                // Fallback: clamp the normalized draw into the box and
-                // re-normalize once; slight boundary bias is acceptable and
-                // documented.
-                for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
-                    *x = rng.random_range(l..=u);
+                // Fallback: one more draw, normalized, clamped into the
+                // box and renormalized once. This keeps the sampler total,
+                // but the renormalization can move weights back out of
+                // the box; the result is only guaranteed to lie on the
+                // simplex.
+                for ((x, &l), &s) in out.iter_mut().zip(lower).zip(&self.span) {
+                    *x = l + rng.random::<f64>() * s;
                 }
                 let inv = 1.0 / out.iter().sum::<f64>().max(1e-12);
                 for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
@@ -188,6 +215,21 @@ impl SimplexSampler {
                 }
             }
         }
+    }
+
+    /// Fill `out` (a whole number of `dim()`-weight rows) with consecutive
+    /// draws — the same stream as calling [`SimplexSampler::sample_into`]
+    /// once per row. The draws run on a local copy of the generator, so
+    /// its state can live in registers for the whole batch instead of
+    /// behind `rng`; the advanced state is written back at the end.
+    pub fn sample_batch<R: Rng + Clone>(&self, rng: &mut R, out: &mut [f64]) {
+        assert_eq!(out.len() % self.n, 0, "sample batch arity");
+        // lint:allow(no-alloc-in-kernel) -- copies the generator state, no heap
+        let mut local = rng.clone();
+        for row in out.chunks_exact_mut(self.n) {
+            self.sample_into(&mut local, row);
+        }
+        *rng = local;
     }
 }
 
@@ -380,6 +422,65 @@ mod tests {
                 assert_eq!(fresh, dirty, "{:?}", s.scheme());
                 assert_simplex(&dirty);
             }
+        }
+    }
+
+    #[test]
+    fn interval_fallback_can_leave_the_box_but_stays_on_the_simplex() {
+        // No normalized draw can keep the first weight at 0.5 unless the
+        // second is drawn at exactly 0.5, so every draw takes the
+        // clamp-and-renormalize fallback, whose second normalization pulls
+        // the first weight below its box. Pinned bit for bit: the fallback
+        // consumes the RNG stream exactly as it always has.
+        let s = SimplexSampler::new(
+            2,
+            WeightScheme::Intervals {
+                lower: vec![0.5, 0.5],
+                upper: vec![0.5, 0.6],
+            },
+        );
+        let w = s.sample(&mut rng());
+        assert_eq!(
+            [w[0].to_bits(), w[1].to_bits()],
+            [4602409058074071370, 4602813699721934682],
+            "{w:?}"
+        );
+        assert!(w[0] < 0.5 - 0.01, "{w:?} is outside [0.5, 0.5] by 0.015");
+        assert_simplex(&w);
+    }
+
+    #[test]
+    fn sample_batch_matches_row_by_row_draws() {
+        let schemes = vec![
+            WeightScheme::Uniform,
+            WeightScheme::RankOrder {
+                order: vec![2, 0, 1],
+            },
+            WeightScheme::PartialRankOrder {
+                groups: vec![vec![0], vec![1, 2]],
+            },
+            WeightScheme::Intervals {
+                lower: vec![0.1, 0.2, 0.05],
+                upper: vec![0.4, 0.6, 0.3],
+            },
+            WeightScheme::Intervals {
+                lower: vec![0.5, 0.5, 0.0],
+                upper: vec![0.5, 0.6, 0.0],
+            },
+        ];
+        for scheme in schemes {
+            let s = SimplexSampler::new(3, scheme);
+            let mut row_rng = StdRng::seed_from_u64(99);
+            let mut batch_rng = StdRng::seed_from_u64(99);
+            let mut rows = vec![0.0; 3 * 37];
+            for row in rows.chunks_exact_mut(3) {
+                s.sample_into(&mut row_rng, row);
+            }
+            let mut batch = vec![f64::NAN; 3 * 37];
+            s.sample_batch(&mut batch_rng, &mut batch);
+            assert_eq!(rows, batch, "{:?}", s.scheme());
+            // The generator state was written back: the next draws agree.
+            assert_eq!(s.sample(&mut row_rng), s.sample(&mut batch_rng));
         }
     }
 
