@@ -59,6 +59,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--trials needs a number")?
                     .parse()
                     .map_err(|e| format!("bad --trials: {e}"))?;
+                if args.trials == 0 {
+                    return Err("bad --trials: Monte Carlo needs at least one trial".into());
+                }
             }
             "--seed" => {
                 args.seed = it

@@ -333,11 +333,17 @@ impl AnalysisEngine {
 
     /// The discard cycle for the interactive what-if loop: after a few
     /// `set_perf` edits, only the touched alternatives' rows/columns of
-    /// the interval matrix are re-optimized in place
-    /// ([`maut_sense::IntervalMatrix::update`])
-    /// and only the touched alternatives plus their dependents are
-    /// re-certified ([`maut_sense::potential::certify_incremental_ctx`],
-    /// each seeded with its previous working set). Falls back to a
+    /// the interval matrix are re-optimized in place, with the matrix's
+    /// intensity block sums and dominator counts patched for those pairs
+    /// only ([`maut_sense::IntervalMatrix::update`]), and only the touched
+    /// alternatives plus their dependents are re-certified, in place in
+    /// the cached certificates
+    /// ([`maut_sense::potential::certify_incremental_ctx`], each seeded
+    /// with its previous working set). The non-dominated set and the
+    /// intensities are then read off the patched state in
+    /// `O(n²/16 + n log n)`, without rereading the `n²` minima. On a
+    /// solver error the cache is dropped, so the next call recomputes in
+    /// full. Falls back to a
     /// full recompute — transparently, same results — when there is no
     /// cached cycle yet, the weight side changed (every pair invalidated),
     /// or the dirty set covers half the alternatives or more (pair-level
@@ -355,8 +361,9 @@ impl AnalysisEngine {
                 self.cycle_stats.incremental += 1;
                 if !dirty.is_empty() {
                     cache.intervals.update(&self.ctx, &dirty);
-                    cache.certs =
-                        potential::certify_incremental_ctx(&self.ctx, &cache.certs, &dirty)?;
+                    // On an error the partly rewritten cache is dropped
+                    // here, and the next call recomputes in full.
+                    potential::certify_incremental_ctx(&self.ctx, &mut cache.certs, &dirty)?;
                 }
                 cache
             }

@@ -86,6 +86,17 @@ fn no_command_fails_with_usage() {
 }
 
 #[test]
+fn zero_trials_is_a_usage_error_not_a_panic() {
+    let out = gmaa(&["--trials", "0", "analyze"]);
+    assert!(!out.status.success());
+    assert_ne!(out.status.code(), Some(101), "exit code of a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--trials"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
 fn save_and_reload_workspace_via_cli() {
     let dir = std::env::temp_dir().join(format!("gmaa-cli-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -41,25 +41,52 @@
 //!   a dirty row goes through the row gather and kernel, a dirty column
 //!   gathers 16 rows against the edited alternative and pours them in
 //!   one call — bit-identical to a full sweep.
-//! * **Derivation** ([`IntervalMatrix::derive`]): one allocation-free
-//!   pass over the buffer reads off the non-dominated set and every
-//!   intensity. Each intensity sums the rival terms in index order, so
-//!   the discard cycle pays for the pair optimizations once and every
-//!   consumer sees the same bits.
+//! * **Derivation** ([`IntervalMatrix::derive`]): reads the non-dominated
+//!   set and every intensity off the derivation state below, without
+//!   touching the `n²` minima, so the discard cycle pays for the pair
+//!   optimizations once and every consumer sees the same bits.
+//!
+//! ## Derivation state
+//!
+//! Next to its minima the matrix keeps what the discard cycle derives
+//! from them, so an incremental cycle never rereads all `n²` pairs:
+//!
+//! * **Block sums.** For every row `i` and every block `b` of 16
+//!   rivals `k ∈ 16b .. 16b + 16`, the sum of the
+//!   expected advantages `(d_ik^min + d_ik^max) / 2`, added in rival index
+//!   order from `−0.0` with the diagonal skipped. The intensity of `i` is
+//!   its block sums folded in block order from `−0.0`. Full and
+//!   incremental cycles use this one summation order, so they agree bit
+//!   for bit; with at most 16 alternatives it is the plain index-order
+//!   sum.
+//! * **Dominator counts.** For every alternative `k`, the number of rivals
+//!   `i` whose interval `D_ik` certifies dominance over `k`; `k` is
+//!   non-dominated when its count is zero.
+//!
+//! [`IntervalMatrix::recompute`] fills both in one blocked pass after the
+//! sweep. [`IntervalMatrix::update`] first removes the dominance verdicts
+//! of every pair that touches a dirty alternative (reading the old
+//! minima), re-optimizes those pairs, adds their new verdicts, and
+//! re-sums only the blocks that hold a changed term: every block of a
+//! dirty row, and in every other row the blocks that hold a dirty
+//! column. An incremental cycle therefore costs
+//! `O(|dirty| · 16 · n + n² / 16 + n log n)` instead of `n²`.
 
 use maut::{BandMatrixSoA, EvalContext};
 use serde::{Deserialize, Serialize};
 use simplex_lp::{GreedyScratch, POUR_LANES};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Pairs whose difference vectors are gathered and poured per kernel
 /// call: one per lane of the block pour (the block stays L1-resident:
 /// `PAIR_BLOCK` × n_attrs doubles).
 pub(crate) const PAIR_BLOCK: usize = POUR_LANES;
 
-/// Rows per block of the derivation pass (their mirrored minima span two
-/// cache lines of each rival row).
-const DERIVE_BLOCK: usize = 16;
+/// Rivals per intensity block sum (see "Derivation state" in the module
+/// docs). A block's mirrored minima span two cache lines of each rival
+/// row, so a block re-sum down all rows reads each line once.
+const SUM_BLOCK: usize = 16;
 
 /// The dominance interval of one ordered pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +123,8 @@ pub struct IntensityRank {
 }
 
 /// Every pairwise dominance interval of a model: one flat row-major
-/// buffer of adversarial minima, maxima read through antisymmetry (see
+/// buffer of adversarial minima, maxima read through antisymmetry, plus
+/// the intensity block sums and dominator counts derived from them (see
 /// the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IntervalMatrix {
@@ -104,6 +132,38 @@ pub struct IntervalMatrix {
     n: usize,
     /// `mins[i·n + k] = min u(i) − u(k)`; the diagonal is `0.0`.
     mins: Vec<f64>,
+    /// `block_sums[i·blocks + b]`: row `i`'s expected advantages over the
+    /// rivals of block `b`, summed in index order from `−0.0`.
+    block_sums: Vec<f64>,
+    /// `dominators[k]`: the rivals whose interval dominates `k`.
+    dominators: Vec<u32>,
+}
+
+/// Row `i`'s expected advantages over the rivals `ks` of one block, added
+/// in index order from `−0.0` with the diagonal skipped — the one
+/// summation every block sum goes through. `on_dominates(k)` runs for each
+/// rival `k` over which `D_ik` certifies dominance.
+fn sum_row_block(
+    mins: &[f64],
+    n: usize,
+    i: usize,
+    ks: Range<usize>,
+    mut on_dominates: impl FnMut(usize),
+) -> f64 {
+    let mut sum = -0.0;
+    for k in ks {
+        if k != i {
+            let d = DominanceInterval {
+                min: mins[i * n + k],
+                max: -mins[k * n + i],
+            };
+            sum += d.expected();
+            if d.dominates() {
+                on_dominates(k);
+            }
+        }
+    }
+    sum
 }
 
 /// All pairwise dominance intervals, against a shared evaluation context.
@@ -165,6 +225,17 @@ impl IntervalMatrix {
         &self.mins
     }
 
+    /// Row `i`'s intensity block sums, one per block of 16 rivals (see
+    /// "Derivation state" in the [module docs](self)), rows concatenated.
+    pub fn block_sums(&self) -> &[f64] {
+        &self.block_sums
+    }
+
+    /// Per alternative, the number of rivals whose interval dominates it.
+    pub fn dominator_counts(&self) -> &[u32] {
+        &self.dominators
+    }
+
     /// Capacity of the minima buffer — the allocation a
     /// [`IntervalMatrix::recompute`] reuses.
     pub fn capacity(&self) -> usize {
@@ -183,27 +254,33 @@ impl IntervalMatrix {
         }
     }
 
-    /// Re-optimize every pair of the context, reusing this matrix's
-    /// allocation when the alternative count is unchanged.
+    /// Re-optimize every pair of the context and fill the derivation
+    /// state, reusing this matrix's allocations when the alternative count
+    /// is unchanged.
     pub fn recompute(&mut self, ctx: &EvalContext) {
         let n = ctx.soa().n_alternatives();
         self.n = n;
         self.mins.resize(n * n, 0.0);
+        self.block_sums.resize(n * n.div_ceil(SUM_BLOCK), 0.0);
+        self.dominators.resize(n, 0);
         let mut scratch = GreedyScratch::default();
         let mut worst = vec![0.0; PAIR_BLOCK * ctx.soa().n_attributes()];
         for i in 0..n {
             self.update_row(ctx, i, &mut scratch, &mut worst);
         }
+        self.fill_derivation();
     }
 
     /// Bring the matrix up to date after band-row edits to the `dirty`
     /// alternatives: their rows and columns are re-optimized in place
-    /// through the same gather and kernel as the full sweep, so the result
-    /// is bit-identical to [`IntervalMatrix::recompute`] on the edited
-    /// context.
+    /// through the same gather and kernel as the full sweep, and the
+    /// derivation state is patched through the same block sums, so the
+    /// result is bit-identical to [`IntervalMatrix::recompute`] on the
+    /// edited context.
     ///
-    /// Cost: `O(|dirty| · n)` pair optimizations and writes; nothing else
-    /// is touched, copied or reallocated.
+    /// Cost: `O(|dirty| · n)` pair optimizations and writes plus
+    /// `O(|dirty| · 16 · n)` block-sum terms; nothing else is touched,
+    /// copied or reallocated.
     ///
     /// # Panics
     ///
@@ -214,12 +291,15 @@ impl IntervalMatrix {
             ctx.soa().n_alternatives(),
             "interval matrix does not match the model"
         );
+        self.tally_dirty(dirty, false);
         let mut scratch = GreedyScratch::default();
         let mut worst = vec![0.0; PAIR_BLOCK * ctx.soa().n_attributes()];
         for &d in dirty {
             self.update_row(ctx, d, &mut scratch, &mut worst);
             self.update_column(ctx, d, dirty, &mut scratch, &mut worst);
         }
+        self.tally_dirty(dirty, true);
+        self.resum_touched(dirty);
     }
 
     /// Row `i`: the minimum against every rival, one block pour per
@@ -267,60 +347,94 @@ impl IntervalMatrix {
         }
     }
 
-    /// One pass over every ordered pair, deriving both outputs of the
-    /// discard cycle: `intensities[i]`, the expected advantages of `i`
-    /// over its rivals accumulated in rival index order from the start
-    /// value `Iterator::sum` folds from (bit-identical to `.sum()` over the
-    /// rival terms), and `dominated[k]`, whether some rival's interval
-    /// certifies dominance over `k`. Rows go in blocks of 16, so a block's
-    /// mirrored minima `min_ki` sit contiguously in row `k` and neither
-    /// direction of a pair is read with an `n`-stride.
-    ///
-    /// # Panics
-    ///
-    /// When either output does not have one slot per alternative.
-    fn derive_into(&self, intensities: &mut [f64], dominated: &mut [bool]) {
-        let n = self.n;
-        assert_eq!(
-            (intensities.len(), dominated.len()),
-            (n, n),
-            "one slot per alternative"
-        );
-        intensities.fill(std::iter::empty::<f64>().sum());
-        dominated.fill(false);
-        for ib in (0..n).step_by(DERIVE_BLOCK) {
-            let block = DERIVE_BLOCK.min(n - ib);
-            for (k, dominated_k) in dominated.iter_mut().enumerate() {
-                let mirrored = &self.mins[k * n + ib..k * n + ib + block];
-                for (i, &min_ki) in (ib..).zip(mirrored) {
-                    if i != k {
-                        let min = self.mins[i * n + k];
-                        let d = DominanceInterval { min, max: -min_ki };
-                        intensities[i] += d.expected();
-                        *dominated_k |= d.dominates();
+    /// Every block sum and dominator count from the minima, in one pass
+    /// per block of 16 rivals down all rows (each pair visited once).
+    fn fill_derivation(&mut self) {
+        let Self {
+            n,
+            mins,
+            block_sums,
+            dominators,
+        } = self;
+        let (n, blocks) = (*n, n.div_ceil(SUM_BLOCK));
+        dominators.fill(0);
+        for (b, kb) in (0..n).step_by(SUM_BLOCK).enumerate() {
+            let end = (kb + SUM_BLOCK).min(n);
+            for i in 0..n {
+                block_sums[i * blocks + b] =
+                    sum_row_block(mins, n, i, kb..end, |k| dominators[k] += 1);
+            }
+        }
+    }
+
+    /// Add (`add`) or remove the dominance verdict of every ordered pair
+    /// that touches a `dirty` alternative, each pair once: `(d, k)` for
+    /// every rival `k`, and `(k, d)` for every clean rival `k`.
+    fn tally_dirty(&mut self, dirty: &BTreeSet<usize>, add: bool) {
+        for &d in dirty {
+            for k in (0..self.n).filter(|&k| k != d) {
+                let d_over_k = self.get(d, k).dominates();
+                let k_over_d = !dirty.contains(&k) && self.get(k, d).dominates();
+                for (x, dominates) in [(k, d_over_k), (d, k_over_d)] {
+                    if dominates {
+                        let count = &mut self.dominators[x];
+                        *count = if add { *count + 1 } else { *count - 1 };
                     }
                 }
             }
         }
     }
 
-    /// The discard cycle's derived outputs from one allocation-free pass
-    /// over the buffer: the non-dominated alternatives (ascending) and the
-    /// ranking of the alternatives, named by `names` (one per row), by
-    /// dominance intensity (descending; ties break by name).
-    pub fn derive(&self, names: &[String]) -> (Vec<usize>, Vec<IntensityRank>) {
-        let mut intensities = vec![0.0; self.n];
-        let mut dominated = vec![false; self.n];
-        self.derive_into(&mut intensities, &mut dominated);
-        let non_dominated = (0..self.n).filter(|&k| !dominated[k]).collect();
-        let mut ranking: Vec<IntensityRank> = names
+    /// Re-sum the blocks whose terms an update to the `dirty` rows and
+    /// columns changed: every block of a dirty row, and the blocks that
+    /// hold a dirty column in every row.
+    fn resum_touched(&mut self, dirty: &BTreeSet<usize>) {
+        let Self {
+            n,
+            mins,
+            block_sums,
+            ..
+        } = self;
+        let (n, blocks) = (*n, n.div_ceil(SUM_BLOCK));
+        let block = |b: usize| b * SUM_BLOCK..((b + 1) * SUM_BLOCK).min(n);
+        for &d in dirty {
+            for b in 0..blocks {
+                block_sums[d * blocks + b] = sum_row_block(mins, n, d, block(b), |_| {});
+            }
+        }
+        let mut last = None;
+        for b in dirty.iter().map(|&d| d / SUM_BLOCK) {
+            if last.replace(b) == Some(b) {
+                continue;
+            }
+            for i in 0..n {
+                block_sums[i * blocks + b] = sum_row_block(mins, n, i, block(b), |_| {});
+            }
+        }
+    }
+
+    /// The intensity of `i`: its block sums folded in block order from
+    /// `−0.0`.
+    fn intensity(&self, i: usize) -> f64 {
+        let blocks = self.n.div_ceil(SUM_BLOCK);
+        self.block_sums[i * blocks..(i + 1) * blocks]
             .iter()
-            .zip(intensities)
-            .enumerate()
-            .map(|(i, (name, intensity))| IntensityRank {
+            .fold(-0.0, |sum, &s| sum + s)
+    }
+
+    /// The discard cycle's derived outputs, read off the derivation state
+    /// in `O(n² / 16 + n log n)`: the non-dominated alternatives
+    /// (ascending, those no rival dominates) and the ranking of the
+    /// alternatives, named by `names` (one per row), by dominance
+    /// intensity (descending; ties break by name).
+    pub fn derive(&self, names: &[String]) -> (Vec<usize>, Vec<IntensityRank>) {
+        let non_dominated = (0..self.n).filter(|&k| self.dominators[k] == 0).collect();
+        let mut ranking: Vec<IntensityRank> = (0..self.n)
+            .zip(names)
+            .map(|(i, name)| IntensityRank {
                 alternative: i,
                 name: name.clone(),
-                intensity,
+                intensity: self.intensity(i),
                 rank: 0,
             })
             .collect();
@@ -438,8 +552,14 @@ mod tests {
         }
     }
 
+    /// The matrix's whole state by bits: minima, block sums and dominator
+    /// counts.
     fn bits(m: &IntervalMatrix) -> Vec<u64> {
-        m.minima().iter().map(|x| x.to_bits()).collect()
+        let floats = m.minima().iter().chain(m.block_sums());
+        floats
+            .map(|x| x.to_bits())
+            .chain(m.dominator_counts().iter().map(|&c| u64::from(c)))
+            .collect()
     }
 
     #[test]
@@ -530,6 +650,37 @@ mod tests {
                         0.0f64.to_bits(),
                         "diagonal ({i},{i}), n={n}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn intensities_fold_block_sums_in_block_order() {
+        // The summation order of the module docs, from the pair terms:
+        // each block of 16 rivals in index order from −0.0, the blocks
+        // folded in order from −0.0; up to 16 alternatives that is the
+        // plain index-order sum.
+        for n in [2, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 8] {
+            let rows: Vec<(String, usize, usize)> = (0..n)
+                .map(|i| (format!("a{i:02}"), i % 4, (i / 3) % 4))
+                .collect();
+            let refs: Vec<(&str, usize, usize)> =
+                rows.iter().map(|(n, x, y)| (n.as_str(), *x, *y)).collect();
+            let c = ctx(&model(&refs));
+            let intervals = dominance_intervals_ctx(&c);
+            let (_, ranking) = intervals.derive(&c.model().alternatives);
+            for r in &ranking {
+                let i = r.alternative;
+                let term = |k: usize| intervals.get(i, k).expected();
+                let blocked = (0..n).step_by(SUM_BLOCK).fold(-0.0, |sum, kb| {
+                    let ks = kb..(kb + SUM_BLOCK).min(n);
+                    sum + ks.filter(|&k| k != i).fold(-0.0, |s, k| s + term(k))
+                });
+                assert_eq!(r.intensity.to_bits(), blocked.to_bits(), "n={n} i={i}");
+                if n <= SUM_BLOCK {
+                    let plain: f64 = (0..n).filter(|&k| k != i).map(term).sum();
+                    assert_eq!(r.intensity.to_bits(), plain.to_bits(), "n={n} i={i}");
                 }
             }
         }

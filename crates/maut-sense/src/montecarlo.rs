@@ -24,7 +24,7 @@
 //! [`MonteCarlo::threads`] scoped workers whose integer rank counts merge
 //! order-independently.
 //!
-//! Up to [`DENSE_RANK_MAX`] alternatives, ranking is a pairwise sweep with
+//! Up to `DENSE_RANK_MAX` (64) alternatives, ranking is a pairwise sweep with
 //! trials in the SIMD lanes, and most pairs need no sweep at all. Before
 //! any fan-out, the run certifies every pair once: one greedy block pour
 //! per 16 pairs bounds `(midᵢ − midₖ)·w` over the weight polytope the

@@ -243,14 +243,16 @@ impl<'a> CertifyInputs<'a> {
     /// certifies the working-set optimum as the full LP's. Grown rows are
     /// appended to the optimal tableau and re-solved warm. `seed` (used by
     /// re-certification) replaces the strength-order seeding with the
-    /// previous certificate's working set.
-    fn certify_one(
+    /// previous certificate's working set. Returns the optimal slack and
+    /// leaves the optimal weights in `s.w` and the final working set in
+    /// `s.active`.
+    fn solve_one(
         &self,
         i: usize,
         seed: Option<&[usize]>,
         s: &mut Scratch,
         ws: &mut SolverWorkspace,
-    ) -> Result<PotentialCert, LpError> {
+    ) -> Result<f64, LpError> {
         let soa = self.soa;
         let base_r = WORKING_SET.min(soa.n_alternatives().saturating_sub(1));
         let diff_into = |row: &mut [f64], k: usize| {
@@ -284,7 +286,7 @@ impl<'a> CertifyInputs<'a> {
 
         ws.start(self.polytope, &s.key);
         let mut pushed = 0;
-        let slack = loop {
+        loop {
             for &k in &s.active[pushed..] {
                 diff_into(&mut s.row, k);
                 ws.push_row(&s.row);
@@ -295,7 +297,7 @@ impl<'a> CertifyInputs<'a> {
             // Certify against the excluded rivals.
             s.collect_violated(soa, i, t);
             if s.violated.is_empty() {
-                break t;
+                return Ok(t);
             }
             // Grow the working set monotonically (termination: it can
             // only grow n − 1 times) and re-solve warm.
@@ -303,8 +305,17 @@ impl<'a> CertifyInputs<'a> {
                 s.in_set[k] = true;
             }
             s.active.extend(s.violated.iter().copied());
-        };
+        }
+    }
 
+    /// A fresh certificate for alternative `i`.
+    fn certify_one(
+        &self,
+        i: usize,
+        s: &mut Scratch,
+        ws: &mut SolverWorkspace,
+    ) -> Result<PotentialCert, LpError> {
+        let slack = self.solve_one(i, None, s, ws)?;
         Ok(PotentialCert {
             outcome: PotentialOutcome {
                 alternative: i,
@@ -315,6 +326,23 @@ impl<'a> CertifyInputs<'a> {
             weights: s.w.clone(),
             working_set: s.active.clone(),
         })
+    }
+
+    /// Re-certify `cert` (alternative `i`) seeded with its own working
+    /// set, rewriting it in place in its existing allocations.
+    fn recertify(
+        &self,
+        i: usize,
+        cert: &mut PotentialCert,
+        s: &mut Scratch,
+        ws: &mut SolverWorkspace,
+    ) -> Result<(), LpError> {
+        let slack = self.solve_one(i, Some(&cert.working_set), s, ws)?;
+        cert.outcome.potentially_optimal = slack >= -1e-9;
+        cert.outcome.slack = slack;
+        cert.weights.clone_from(&s.w);
+        cert.working_set.clone_from(&s.active);
+        Ok(())
     }
 }
 
@@ -335,50 +363,49 @@ pub fn certify_ctx(ctx: &EvalContext) -> Result<Vec<PotentialCert>, LpError> {
     let mut s = Scratch::new(n, ctx.polytope().dim());
     let mut ws = ctx.lp_workspace();
     (0..n)
-        .map(|i| inputs.certify_one(i, None, &mut s, &mut ws))
+        .map(|i| inputs.certify_one(i, &mut s, &mut ws))
         .collect()
 }
 
 /// Re-certify potential optimality after band-row edits to the `dirty`
-/// alternatives, reusing `prev` (the last full pass's certificates, in
-/// alternative order) wherever the stored optimum is provably still the
-/// full LP's — see the module docs for the exact keep/re-solve rule.
-/// Verdicts equal a full recompute's; slacks agree to the certification
-/// tolerance. Runs inline on the context's shared workspace.
+/// alternatives, in place: `certs` (the previous certificates, in
+/// alternative order) keeps every certificate whose stored optimum is
+/// provably still the full LP's — see the module docs for the exact
+/// keep/re-solve rule — and only the re-solved ones are rewritten, in
+/// their own allocations. Verdicts equal a full recompute's; slacks agree
+/// to the certification tolerance. Runs inline on the context's shared
+/// workspace. On an error `certs` is partly rewritten and must be
+/// discarded.
 ///
 /// # Panics
 ///
-/// When `prev` does not cover exactly the context's alternatives.
+/// When `certs` does not cover exactly the context's alternatives.
 pub fn certify_incremental_ctx(
     ctx: &EvalContext,
-    prev: &[PotentialCert],
+    certs: &mut [PotentialCert],
     dirty: &BTreeSet<usize>,
-) -> Result<Vec<PotentialCert>, LpError> {
+) -> Result<(), LpError> {
     let soa = ctx.soa();
     let n = soa.n_alternatives();
-    assert_eq!(prev.len(), n, "certificate set does not match the model");
+    assert_eq!(certs.len(), n, "certificate set does not match the model");
 
     let inputs = CertifyInputs::new(ctx);
     let mut s = Scratch::new(n, ctx.polytope().dim());
     let mut ws = ctx.lp_workspace();
     let edited: Vec<usize> = dirty.iter().copied().collect();
 
-    (0..n)
-        .map(|i| {
-            let cert = &prev[i];
-            // An edited rival outside the working set (`i` itself is
-            // dirty-checked first): keep the certificate only if its new
-            // row is still satisfied at the stored optimum.
-            let must_resolve = dirty.contains(&i)
-                || cert.working_set.iter().any(|k| dirty.contains(k))
-                || s.edited_rival_violated(soa, i, &cert.weights, cert.outcome.slack, &edited);
-            if must_resolve {
-                inputs.certify_one(i, Some(&cert.working_set), &mut s, &mut ws)
-            } else {
-                Ok(cert.clone())
-            }
-        })
-        .collect()
+    for (i, cert) in certs.iter_mut().enumerate() {
+        // An edited rival outside the working set (`i` itself is
+        // dirty-checked first): keep the certificate only if its new row
+        // is still satisfied at the stored optimum.
+        let must_resolve = dirty.contains(&i)
+            || cert.working_set.iter().any(|k| dirty.contains(k))
+            || s.edited_rival_violated(soa, i, &cert.weights, cert.outcome.slack, &edited);
+        if must_resolve {
+            inputs.recertify(i, cert, &mut s, &mut ws)?;
+        }
+    }
+    Ok(())
 }
 
 /// Indices of alternatives that are *not* potentially optimal — the ones
@@ -554,7 +581,8 @@ mod tests {
             })
             .collect();
         let all: BTreeSet<usize> = (0..23).collect();
-        let grown = certify_incremental_ctx(&c, &thin, &all).unwrap();
+        let mut grown = thin;
+        certify_incremental_ctx(&c, &mut grown, &all).unwrap();
         let stats3 = c.lp_stats();
         assert_eq!(stats3.cold_solves() - stats2.cold_solves(), 23);
         assert!(stats3.warm_solves > stats2.warm_solves, "{stats3:?}");
@@ -592,7 +620,8 @@ mod tests {
         c.set_perf(8, doc, Perf::level(0)).expect("valid");
         let dirty: BTreeSet<usize> = [3, 8].into_iter().collect();
 
-        let incr = certify_incremental_ctx(&c, &prev, &dirty).unwrap();
+        let mut incr = prev;
+        certify_incremental_ctx(&c, &mut incr, &dirty).unwrap();
         let full = certify_ctx(&EvalContext::new(c.model().clone()).expect("valid")).unwrap();
         for (a, b) in incr.iter().zip(&full) {
             assert_eq!(
@@ -612,7 +641,7 @@ mod tests {
     #[test]
     fn incremental_recertification_skips_untouched_alternatives() {
         let mut c = EvalContext::new(neon_reuse::paper_model().model).expect("valid");
-        let prev = certify_ctx(&c).unwrap();
+        let mut prev = certify_ctx(&c).unwrap();
         let before = c.lp_stats().solves;
 
         // A weak alternative's edit should trigger far fewer than 23
@@ -620,7 +649,7 @@ mod tests {
         let doc = c.model().find_attribute("doc_quality").expect("exists");
         c.set_perf(20, doc, Perf::level(1)).expect("valid");
         let dirty: BTreeSet<usize> = [20].into_iter().collect();
-        certify_incremental_ctx(&c, &prev, &dirty).unwrap();
+        certify_incremental_ctx(&c, &mut prev, &dirty).unwrap();
         let resolved = c.lp_stats().solves - before;
         assert!(
             (1..23).contains(&resolved),
@@ -638,7 +667,8 @@ mod tests {
         let prev = certify_ctx(&c).unwrap();
         let before = c.lp_stats();
         let dirty: BTreeSet<usize> = [5].into_iter().collect();
-        let again = certify_incremental_ctx(&c, &prev, &dirty).unwrap();
+        let mut again = prev.clone();
+        certify_incremental_ctx(&c, &mut again, &dirty).unwrap();
         let stats = c.lp_stats();
         assert!(stats.solves > before.solves);
         assert_eq!(stats.warm_solves, before.warm_solves, "{stats:?}");

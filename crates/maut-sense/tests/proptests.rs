@@ -2,8 +2,11 @@
 
 use maut::prelude::*;
 use maut::utility::{DiscreteUtility, UtilityFunction};
-use maut_sense::{MonteCarlo, MonteCarloConfig, StabilityMode};
+use maut_sense::{
+    dominance_intervals_ctx, IntervalMatrix, MonteCarlo, MonteCarloConfig, StabilityMode,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn ctx(m: &DecisionModel) -> EvalContext {
     EvalContext::new(m.clone()).expect("valid model")
@@ -260,6 +263,81 @@ proptest! {
                 box_kind,
                 config_kind
             );
+        }
+    }
+}
+
+/// The whole state of an interval matrix by bits: minima, intensity block
+/// sums and dominator counts.
+fn matrix_bits(m: &IntervalMatrix) -> (Vec<u64>, Vec<u64>, Vec<u32>) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+    (
+        bits(m.minima()),
+        bits(m.block_sums()),
+        m.dominator_counts().to_vec(),
+    )
+}
+
+/// A ranking by bits: alternative, name, rank and intensity bits.
+fn ranking_bits(r: &[maut_sense::IntensityRank]) -> Vec<(usize, String, usize, u64)> {
+    r.iter()
+        .map(|x| (x.alternative, x.name.clone(), x.rank, x.intensity.to_bits()))
+        .collect()
+}
+
+proptest! {
+    /// The interval matrix's in-place update patches its derivation state
+    /// (intensity block sums and dominator counts) to exactly what a fresh
+    /// sweep fills: on tie-heavy models of 1, 15, 16, 17, 33 and 40
+    /// alternatives (both sides of one and two 16-rival blocks), under
+    /// every weight box of [`kernel_model`], after each step of a random
+    /// edit sequence whose dirty sets also name alternatives that were not
+    /// edited, the minima, block sums, dominator counts and both `derive`
+    /// outputs equal a fresh `recompute` by `to_bits`, and the
+    /// non-dominated set equals the standalone dominance entry point's.
+    #[test]
+    fn incremental_derivation_matches_recompute(
+        shape in (0usize..6, 1usize..5, 2usize..6),
+        run in (1usize..6, 0u64..1_000_000),
+    ) {
+        let ((size, n_attrs, levels), (steps, seed)) = (shape, run);
+        let n = [1, 15, 16, 17, 33, 40][size];
+        let model = kernel_model(n_attrs, n, levels, seed as usize % 5, seed);
+        let mut c = ctx(&model);
+        let mut matrix = dominance_intervals_ctx(&c);
+        let mut state = seed.wrapping_mul(0xD134_2543_DE82_EF95) | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for step in 0..steps {
+            let mut dirty = BTreeSet::new();
+            for _ in 0..1 + next(4) {
+                let d = next(n);
+                dirty.insert(d);
+                if next(3) != 0 {
+                    let attr = AttributeId::from_index(next(n_attrs));
+                    c.set_perf(d, attr, Perf::level(next(levels)))
+                        .expect("level on the scale");
+                }
+            }
+            matrix.update(&c, &dirty);
+            let fresh = dominance_intervals_ctx(&c);
+            prop_assert_eq!(
+                matrix_bits(&matrix),
+                matrix_bits(&fresh),
+                "step {} dirty {:?}",
+                step,
+                &dirty
+            );
+            let names = &c.model().alternatives;
+            let (non_dominated, ranking) = matrix.derive(names);
+            let (fresh_non_dominated, fresh_ranking) = fresh.derive(names);
+            prop_assert_eq!(&non_dominated, &fresh_non_dominated);
+            prop_assert_eq!(ranking_bits(&ranking), ranking_bits(&fresh_ranking));
+            prop_assert_eq!(non_dominated, maut_sense::non_dominated_ctx(&c));
         }
     }
 }
