@@ -43,6 +43,9 @@
 //!   ontolib assessment corpus) through one manager under a skewed mix,
 //!   with exact per-kind accounting asserted and per-shard busy-time /
 //!   mean-service-time reported;
+//! * **wire_codec** — encode and decode time of two served replies (the
+//!   paper's `Analysis` and the Mixed 300×12 `Cycle`) through the
+//!   compact JSON codec, with their sizes;
 //! * **scaling** — the seeded `gmaa-gen` n × m sweep (Mixed family up to
 //!   750 alternatives plus the adversarial presets): cold vs warm vs
 //!   incremental discard-cycle times, LP warm rates and pivots per solve
@@ -107,7 +110,7 @@ fn engine_bench(serving: &str) -> String {
     // Full analyze() cycle (evaluation + stability + discard cycle +
     // 1k-trial Monte Carlo) for the perf trajectory.
     let mut engine = gmaa::AnalysisEngine::new(model.clone()).expect("valid");
-    engine.mc_trials = 1_000;
+    engine.set_mc_trials(1_000).expect("nonzero");
     let engine_analyze_ns = time_ns(5, || {
         std::hint::black_box(engine.analyze().expect("solver healthy"));
     });
@@ -628,6 +631,69 @@ fn serving_tcp_bench() -> String {
     )
 }
 
+/// The `wire_codec` section: encode and decode time of two served
+/// replies, each wrapped as the server sends it (`WireResponse::Ok`) —
+/// the paper model's `Analysis` (10 000 Monte Carlo trials) and the
+/// Mixed 300×12 `Cycle` (generator seed 4) — after checking that
+/// `encode(decode(bytes)) == bytes`.
+fn wire_codec_bench() -> String {
+    use gmaa_serve::net::WireResponse;
+    use gmaa_serve::Response;
+
+    let paper = gmaa::AnalysisEngine::new(bench::paper())
+        .expect("valid")
+        .analyze()
+        .expect("solver healthy");
+    let mixed = gmaa_gen::generate(&gmaa_gen::GenConfig::preset(
+        gmaa_gen::Family::Mixed,
+        300,
+        12,
+        4,
+    ));
+    let cycle = gmaa::AnalysisEngine::new(mixed)
+        .expect("valid")
+        .discard_cycle()
+        .expect("solver healthy");
+    let replies = [
+        (
+            "analysis_paper",
+            WireResponse::Ok(Response::Analysis(Box::new(paper))),
+        ),
+        (
+            "cycle_mixed_300x12",
+            WireResponse::Ok(Response::Cycle(Box::new(cycle))),
+        ),
+    ];
+    let rows: Vec<String> = replies
+        .iter()
+        .map(|(name, reply)| {
+            let json = serde_json::to_string(reply).expect("reply encodes");
+            let back: WireResponse = serde_json::from_str(&json).expect("reply decodes");
+            assert_eq!(
+                serde_json::to_string(&back).expect("reply re-encodes"),
+                json,
+                "{name}: encode(decode(bytes)) != bytes"
+            );
+            let encode_ns = time_ns(200, || {
+                std::hint::black_box(serde_json::to_string(reply).expect("reply encodes"));
+            });
+            let decode_ns = time_ns(200, || {
+                std::hint::black_box(
+                    serde_json::from_str::<WireResponse>(&json).expect("reply decodes"),
+                );
+            });
+            format!(
+                "    \"{name}\": {{ \"bytes\": {}, \"encode_ns\": {encode_ns:.0}, \"decode_ns\": {decode_ns:.0} }}",
+                json.len()
+            )
+        })
+        .collect();
+    format!(
+        "  \"wire_codec\": {{\n    \"codec\": \"compact JSON, vendored serde stand-in, replies as served\",\n{}\n  }}",
+        rows.join(",\n")
+    )
+}
+
 /// One `(family, n, m)` point of the scaling sweep: cold / warm /
 /// incremental discard-cycle timings, the LP solve, warm-share and step
 /// counters behind the warm numbers — all from the point's fixed
@@ -1011,7 +1077,8 @@ fn main() {
     // fixed-seed CI grid; every other section is unaffected.
     let smoke = std::env::args().any(|a| a == "--scaling-smoke");
     let serving = format!(
-        "{},\n{},\n{},\n{},\n{}",
+        "{},\n{},\n{},\n{},\n{},\n{}",
+        wire_codec_bench(),
         serving_bench(),
         serving_durable_bench(),
         serving_tcp_bench(),

@@ -34,17 +34,13 @@ pub struct Session {
 impl Session {
     /// Validate `model` and `config` and open a session over them. A
     /// zero trial count is rejected here, where it enters (a server's
-    /// [`SessionConfig`] or a stored or restored snapshot): every later
-    /// `Analyze` would otherwise hit the Monte Carlo stage's
-    /// `trials > 0` assertion on the shard's thread.
+    /// [`SessionConfig`] or a stored or restored snapshot), by the
+    /// engine's own setting check.
     pub(crate) fn new(model: DecisionModel, config: SessionConfig) -> Result<Session, ServeError> {
-        if config.mc_trials == 0 {
-            return Err(ServeError::InvalidRequest(
-                "session config needs at least one Monte Carlo trial".to_string(),
-            ));
-        }
         let mut engine = AnalysisEngine::new(model)?;
-        engine.mc_trials = config.mc_trials;
+        engine
+            .set_mc_trials(config.mc_trials)
+            .map_err(|e| ServeError::InvalidRequest(format!("session config: {e}")))?;
         engine.mc_seed = config.mc_seed;
         engine.mc_threads = config.mc_threads;
         Ok(Session {

@@ -250,6 +250,81 @@ fn deeply_nested_frame_gets_typed_error_and_connection_survives() {
     assert!(matches!(response, WireResponse::Ok(Response::Created)));
 }
 
+/// An integer field takes only an integral token, and an unsigned one no
+/// negative token: a `SetPerf` naming alternative `-1` or `0.5` gets a
+/// typed `Protocol` error and edits nothing (both once decoded as
+/// alternative 0), while `1.0` and `1e0` still name alternative 1.
+#[test]
+fn garbage_integer_fields_get_protocol_errors_and_edit_nothing() {
+    let (server, _manager) = serve(quick_config(), None);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let encode = |request: Request| -> String {
+        let wire = WireRequest::Api {
+            request: Box::new(request),
+            deadline_ms: None,
+        };
+        serde_json::to_string(&wire).unwrap()
+    };
+    let roundtrip = |stream: &mut TcpStream, payload: &str| -> WireResponse {
+        write_raw_frame(stream, payload.as_bytes());
+        let reply = read_raw_frame(stream).expect("typed reply, not a hangup");
+        serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap()
+    };
+    let create = encode(Request::CreateSession {
+        session: "s".into(),
+        model: model(),
+    });
+    assert!(matches!(
+        roundtrip(&mut stream, &create),
+        WireResponse::Ok(Response::Created)
+    ));
+
+    let x = model().find_attribute("x").unwrap();
+    let edit = encode(Request::SetPerf {
+        session: "s".into(),
+        alternative: 1,
+        attr: x,
+        perf: maut::Perf::level(0),
+    });
+    assert!(edit.contains("\"alternative\":1,"), "{edit}");
+    for (spelling, reason) in [("-1", "negative"), ("0.5", "fractional")] {
+        let bad = edit.replace(
+            "\"alternative\":1,",
+            &format!("\"alternative\":{spelling},"),
+        );
+        match roundtrip(&mut stream, &bad) {
+            WireResponse::Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains(reason), "unhelpful message: {msg}");
+            }
+            other => panic!("{spelling}: expected Protocol error, got {other:?}"),
+        }
+    }
+    for spelling in ["1.0", "1e0"] {
+        let good = edit.replace(
+            "\"alternative\":1,",
+            &format!("\"alternative\":{spelling},"),
+        );
+        assert!(matches!(
+            roundtrip(&mut stream, &good),
+            WireResponse::Ok(Response::Edited)
+        ));
+    }
+
+    // Only alternative 1 ("b") was edited.
+    let mut want = gmaa::AnalysisEngine::new(model()).unwrap();
+    want.set_perf(1, x, maut::Perf::level(0)).unwrap();
+    let snapshot = encode(Request::Snapshot {
+        session: "s".into(),
+    });
+    match roundtrip(&mut stream, &snapshot) {
+        WireResponse::Ok(Response::Snapshot(snap)) => {
+            let served: maut::DecisionModel = serde_json::from_str(&snap.model_json).unwrap();
+            assert_eq!(&served, want.model());
+        }
+        other => panic!("expected a snapshot, got {other:?}"),
+    }
+}
+
 #[test]
 fn oversized_frame_gets_typed_error_then_close() {
     let (server, _manager) = serve(quick_config(), None);

@@ -111,7 +111,9 @@ fn run(args: Args) -> Result<(), String> {
         None => neon_reuse::paper_model().model,
     };
     let mut engine = AnalysisEngine::new(model).map_err(|e| e.to_string())?;
-    engine.mc_trials = args.trials;
+    engine
+        .set_mc_trials(args.trials)
+        .map_err(|e| e.to_string())?;
     engine.mc_seed = args.seed;
 
     let cmd: Vec<&str> = args.command.iter().map(|s| s.as_str()).collect();

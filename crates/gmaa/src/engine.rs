@@ -15,7 +15,7 @@
 //! use gmaa::AnalysisEngine;
 //!
 //! let mut engine = AnalysisEngine::new(neon_reuse::paper_model().model).unwrap();
-//! engine.mc_trials = 500; // keep the doctest quick
+//! engine.set_mc_trials(500).unwrap(); // keep the doctest quick
 //! let analysis = engine.analyze().unwrap();
 //! assert_eq!(analysis.evaluation.ranking()[0].name, "Media Ontology");
 //! assert_eq!(analysis.evaluation.bounds.len(), 23);
@@ -31,6 +31,7 @@ use maut_sense::{
     PotentialOutcome, StabilityMode, StabilityReport,
 };
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// Bundle of every analysis the paper reports.
@@ -140,6 +141,19 @@ impl CycleStats {
     }
 }
 
+/// A Monte Carlo trial count of zero, rejected by
+/// [`AnalysisEngine::set_mc_trials`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZeroTrials;
+
+impl fmt::Display for ZeroTrials {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Monte Carlo needs at least one trial")
+    }
+}
+
+impl std::error::Error for ZeroTrials {}
+
 /// The analysis engine: one model, one shared evaluation context, every
 /// paper analysis, plus incremental what-if mutation.
 #[derive(Debug)]
@@ -149,8 +163,9 @@ pub struct AnalysisEngine {
     cycle_cache: Option<CycleCache>,
     /// Incremental-vs-full counts for the incremental cycle entry point.
     cycle_stats: CycleStats,
-    /// Trials used by [`AnalysisEngine::analyze`]'s Monte Carlo stage.
-    pub mc_trials: usize,
+    /// Trials used by the Monte Carlo stage; never zero (see
+    /// [`AnalysisEngine::set_mc_trials`]).
+    mc_trials: usize,
     /// Seed for the Monte Carlo stage.
     pub mc_seed: u64,
     /// Worker threads for the Monte Carlo stage (`0` = one per core,
@@ -187,6 +202,23 @@ impl AnalysisEngine {
             mc_seed: 20120402,
             mc_threads: 0,
         })
+    }
+
+    /// Trials the Monte Carlo stage runs (10 000 unless set).
+    pub fn mc_trials(&self) -> usize {
+        self.mc_trials
+    }
+
+    /// Set the Monte Carlo stage's trial count. Zero is rejected, and the
+    /// count left as it was: the stage needs at least one trial, so
+    /// [`AnalysisEngine::monte_carlo`] and [`AnalysisEngine::analyze`]
+    /// never meet a zero count.
+    pub fn set_mc_trials(&mut self, trials: usize) -> Result<(), ZeroTrials> {
+        if trials == 0 {
+            return Err(ZeroTrials);
+        }
+        self.mc_trials = trials;
+        Ok(())
     }
 
     /// The decision model as currently mutated — `set_perf` / `set_weight`
@@ -441,7 +473,7 @@ mod tests {
 
     fn engine() -> AnalysisEngine {
         let mut e = AnalysisEngine::new(paper_model().model).expect("paper model is valid");
-        e.mc_trials = 500; // keep unit tests quick; benches run the full 10k
+        e.set_mc_trials(500).unwrap(); // keep unit tests quick; benches run the full 10k
         e
     }
 
@@ -507,7 +539,7 @@ mod tests {
         // And the incremental state matches a fresh engine on the mutated
         // model, for every analysis.
         let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
-        fresh.mc_trials = e.mc_trials;
+        fresh.set_mc_trials(e.mc_trials()).unwrap();
         assert_eq!(after, fresh.evaluate());
         assert_eq!(e.non_dominated(), fresh.non_dominated());
         assert_eq!(
@@ -578,7 +610,7 @@ mod tests {
         let incr = e.analyze_incremental().expect("solver healthy");
 
         let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
-        fresh.mc_trials = e.mc_trials;
+        fresh.set_mc_trials(e.mc_trials()).unwrap();
         let full = fresh.analyze().expect("solver healthy");
         assert_eq!(incr.evaluation, full.evaluation);
         assert_eq!(incr.non_dominated, full.non_dominated);
@@ -686,6 +718,25 @@ mod tests {
         assert_eq!(batch[0], full.bounds[5]);
         assert_eq!(batch[1], full.bounds[0]);
         assert_eq!(batch[2], full.bounds[22]);
+    }
+
+    #[test]
+    fn zero_trials_is_a_typed_error_not_a_panic() {
+        let mut e = engine();
+        let before = e.mc_trials();
+        assert_eq!(e.set_mc_trials(0), Err(ZeroTrials));
+        assert_eq!(
+            ZeroTrials.to_string(),
+            "Monte Carlo needs at least one trial"
+        );
+        // The rejected count never reached the engine: both Monte Carlo
+        // entry points still run, on the old count.
+        assert_eq!(e.mc_trials(), before);
+        let mc = e.monte_carlo(MonteCarloConfig::ElicitedIntervals);
+        assert_eq!(mc.trials, before);
+        assert_eq!(e.analyze().unwrap().monte_carlo.trials, before);
+        e.set_mc_trials(1).unwrap();
+        assert_eq!(e.analyze().unwrap().monte_carlo.trials, 1);
     }
 
     #[test]

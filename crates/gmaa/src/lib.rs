@@ -26,7 +26,7 @@
 //!
 //! // The paper's 23-ontology case study, ready to analyze.
 //! let mut engine = AnalysisEngine::new(neon_reuse::paper_model().model).unwrap();
-//! engine.mc_trials = 200; // keep the doctest quick
+//! engine.set_mc_trials(200).unwrap(); // keep the doctest quick
 //!
 //! // Figs 6–10 in one call: evaluation, stability, the Section V discard
 //! // cycle, Monte Carlo. The incremental entry point primes the cycle
@@ -58,7 +58,7 @@ pub mod engine;
 pub mod report;
 pub mod workspace;
 
-pub use engine::{Analysis, AnalysisEngine, CycleStats, DiscardCycle};
+pub use engine::{Analysis, AnalysisEngine, CycleStats, DiscardCycle, ZeroTrials};
 pub use workspace::{
     load_model, model_from_json, model_to_json, save_model, Workspace, WorkspaceError,
 };

@@ -29,7 +29,7 @@ fn header(title: &str) {
 fn main() {
     let data = dataset::paper_model();
     let mut engine = AnalysisEngine::new(data.model.clone()).expect("paper model is valid");
-    engine.mc_trials = 10_000; // the paper's simulation size
+    engine.set_mc_trials(10_000).expect("nonzero"); // the paper's simulation size
 
     header("Fig 1 - Objective hierarchy");
     print!("{}", report::hierarchy(engine.model()));

@@ -71,7 +71,7 @@ fn main() {
     //    matrix and weight bounds below are computed exactly once and every
     //    analysis reads from them.
     let mut engine = AnalysisEngine::new(model).expect("model validated");
-    engine.mc_trials = 5000;
+    engine.set_mc_trials(5000).expect("nonzero");
     engine.mc_seed = 42;
 
     // 4. Evaluate: min / avg / max overall utilities, ranked by average.

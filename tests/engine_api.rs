@@ -12,7 +12,7 @@ use neon_reuse::paper_model;
 
 fn engine() -> AnalysisEngine {
     let mut e = AnalysisEngine::new(paper_model().model).expect("paper model is valid");
-    e.mc_trials = 1_000;
+    e.set_mc_trials(1_000).unwrap();
     e
 }
 
@@ -114,7 +114,7 @@ fn incremental_set_perf_matches_from_scratch_exactly() {
 
     // A fresh engine over the mutated model must agree bit-for-bit.
     let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
-    fresh.mc_trials = e.mc_trials;
+    fresh.set_mc_trials(e.mc_trials()).unwrap();
     assert_eq!(incremental, fresh.evaluate());
 
     // Only the three touched rows were re-scored.
@@ -147,7 +147,7 @@ fn incremental_set_weight_matches_from_scratch_exactly() {
     let incremental = e.evaluate();
 
     let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
-    fresh.mc_trials = e.mc_trials;
+    fresh.set_mc_trials(e.mc_trials()).unwrap();
     assert_eq!(incremental, fresh.evaluate());
     assert_eq!(
         e.monte_carlo(MonteCarloConfig::ElicitedIntervals)

@@ -203,7 +203,7 @@ fn section6_final_selection() {
 #[test]
 fn gmaa_facade_runs_the_whole_cycle() {
     let mut g = AnalysisEngine::new(dataset::paper_model().model).expect("valid");
-    g.mc_trials = 1_000;
+    g.set_mc_trials(1_000).unwrap();
     let analysis = g.analyze().expect("solver healthy");
     assert_eq!(analysis.evaluation.bounds.len(), 23);
     assert_eq!(analysis.potential.len(), 23);

@@ -439,7 +439,7 @@ fn check_edit_sequence_case(seed: u64, edits: usize, check_every: usize) {
 fn check_edit_sequence_on(model: DecisionModel, seed: u64, edits: usize, check_every: usize) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xED17);
     let mut engine = gmaa::AnalysisEngine::new(model).expect("valid");
-    engine.mc_trials = 60;
+    engine.set_mc_trials(60).unwrap();
     // Prime the incremental cache mid-history (not at a clean start) for
     // odd seeds, so both "cache exists" and "no cache yet" first-calls run.
     if seed % 2 == 1 {
@@ -475,7 +475,7 @@ fn check_edit_sequence_on(model: DecisionModel, seed: u64, edits: usize, check_e
         if (step + 1) % check_every == 0 || step + 1 == edits {
             let analysis = engine.analyze_incremental().expect("solver healthy");
             let mut cold = gmaa::AnalysisEngine::new(engine.model().clone()).expect("valid");
-            cold.mc_trials = engine.mc_trials;
+            cold.set_mc_trials(engine.mc_trials()).unwrap();
             let reference = cold.analyze().expect("solver healthy");
             assert_eq!(
                 analysis.evaluation, reference.evaluation,

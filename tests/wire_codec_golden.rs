@@ -96,7 +96,7 @@ fn small_model() -> DecisionModel {
 
 fn engine(model: DecisionModel, trials: usize) -> AnalysisEngine {
     let mut engine = AnalysisEngine::new(model).expect("valid model");
-    engine.mc_trials = trials;
+    engine.set_mc_trials(trials).expect("nonzero trials");
     engine
 }
 
@@ -123,7 +123,7 @@ fn snapshot() -> SessionSnapshot {
         model_json: serde_json::to_string(&small_model()).expect("model encodes"),
         config: SessionConfig {
             mc_trials: 300,
-            // Past 2^53: the number travels as its f64 rounding.
+            // Past 2^53: the integer travels exactly.
             mc_seed: u64::MAX,
             mc_threads: 1,
         },
