@@ -59,9 +59,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--trials needs a number")?
                     .parse()
                     .map_err(|e| format!("bad --trials: {e}"))?;
-                if args.trials == 0 {
-                    return Err("bad --trials: Monte Carlo needs at least one trial".into());
-                }
             }
             "--seed" => {
                 args.seed = it
@@ -113,7 +110,7 @@ fn run(args: Args) -> Result<(), String> {
     let mut engine = AnalysisEngine::new(model).map_err(|e| e.to_string())?;
     engine
         .set_mc_trials(args.trials)
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("bad --trials: {e}"))?;
     engine.mc_seed = args.seed;
 
     let cmd: Vec<&str> = args.command.iter().map(|s| s.as_str()).collect();
