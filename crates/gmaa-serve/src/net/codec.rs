@@ -3,7 +3,7 @@
 //! Serving-path code: no panics, no `[]` indexing — fixed-size reads
 //! land in arrays that are destructured, never indexed.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Why a frame could not be read.
 #[derive(Debug)]
@@ -24,12 +24,26 @@ pub(crate) enum FrameError {
     },
 }
 
-/// Write one frame: length prefix, payload, flush.
+/// Write one frame, length prefix and payload together, then flush.
+///
+/// Both parts go out through `write_vectored`, so on a socket the whole
+/// frame is one `writev` (one segment under `TCP_NODELAY` where it fits)
+/// and the reader never wakes for a lone 4-byte prefix; the loop only
+/// repeats for what a short write left over.
 pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::other("frame payload exceeds the u32 length prefix"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let prefix = len.to_be_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut rest: &mut [IoSlice<'_>] = &mut parts;
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(written) => IoSlice::advance_slices(&mut rest, written),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -83,6 +97,73 @@ mod tests {
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r, 64).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r, 64).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Records the byte count of every write call; `max` caps how much
+    /// one call accepts, to force short writes.
+    struct Counting {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+        max: usize,
+    }
+
+    impl Counting {
+        fn new(max: usize) -> Counting {
+            Counting {
+                writes: Vec::new(),
+                bytes: Vec::new(),
+                max,
+            }
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.max - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            self.writes.push(taken);
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        // A small frame and one past the 8 KiB a `BufWriter` holds: the
+        // prefix never goes out on its own.
+        for len in [5usize, 13_422] {
+            let payload = vec![b'x'; len];
+            let mut w = Counting::new(usize::MAX);
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, vec![4 + len], "{len}-byte payload");
+            let mut r = io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut r, len).unwrap().unwrap(), payload);
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let mut w = Counting::new(3);
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes.iter().sum::<usize>(), 4 + payload.len());
+        assert!(w
+            .writes
+            .iter()
+            .all(|&n| n == 3 || n == (4 + payload.len()) % 3));
+        let mut r = io::Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut r, 256).unwrap().unwrap(), payload);
     }
 
     #[test]

@@ -129,7 +129,8 @@ fn serve_connection(stream: TcpStream, manager: Arc<SessionManager>, max_frame: 
     let writer = std::thread::Builder::new()
         .name("gmaa-serve-conn-writer".to_string())
         .spawn(move || {
-            let mut w = std::io::BufWriter::new(write_half);
+            // No `BufWriter`: each frame leaves in one vectored write.
+            let mut w = write_half;
             for outcome in rx {
                 let (response, fatal) = match outcome {
                     Outcome::Pending(p) => {

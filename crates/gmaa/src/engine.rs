@@ -27,8 +27,8 @@ use maut::{
 };
 use maut_sense::{
     dominance, intensity, montecarlo::MonteCarlo, potential, stability, DominanceOutcome,
-    IntensityRank, IntervalMatrix, LpError, MonteCarloConfig, MonteCarloResult, PotentialCert,
-    PotentialOutcome, StabilityMode, StabilityReport,
+    IntensityRank, IntervalMatrix, LpError, MonteCarloCache, MonteCarloConfig, MonteCarloResult,
+    PotentialCert, PotentialOutcome, StabilityMode, StabilityReport,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -163,20 +163,24 @@ pub struct AnalysisEngine {
     cycle_cache: Option<CycleCache>,
     /// Incremental-vs-full counts for the incremental cycle entry point.
     cycle_stats: CycleStats,
+    /// Last Monte Carlo run of [`AnalysisEngine::analyze_incremental`],
+    /// so the next one recounts only what an edit can reorder.
+    mc_cache: Option<MonteCarloCache>,
     /// Trials used by the Monte Carlo stage; never zero (see
     /// [`AnalysisEngine::set_mc_trials`]).
     mc_trials: usize,
     /// Seed for the Monte Carlo stage.
     pub mc_seed: u64,
-    /// Worker threads for the Monte Carlo stage (`0` = one per core,
-    /// `1` = single-threaded); any value produces identical results.
+    /// Worker threads for the Monte Carlo stage (`1`, the default, runs
+    /// it on the calling thread; `0` = one per core); any value produces
+    /// identical results.
     pub mc_threads: usize,
 }
 
 impl Clone for AnalysisEngine {
-    /// The clone keeps the model state and the cycle cache (both are
-    /// analysis state, so the clone's next incremental cycle still
-    /// hits), but starts with zeroed [`CycleStats`] — matching
+    /// The clone keeps the model state and the cycle and Monte Carlo
+    /// caches (all analysis state, so the clone's next incremental cycle
+    /// still hits), but starts with zeroed [`CycleStats`] — matching
     /// `EvalContext::clone`'s fresh LP workspace, so no counter ever
     /// attributes the parent's work to the clone.
     fn clone(&self) -> AnalysisEngine {
@@ -184,6 +188,7 @@ impl Clone for AnalysisEngine {
             ctx: self.ctx.clone(),
             cycle_cache: self.cycle_cache.clone(),
             cycle_stats: CycleStats::default(),
+            mc_cache: self.mc_cache.clone(),
             mc_trials: self.mc_trials,
             mc_seed: self.mc_seed,
             mc_threads: self.mc_threads,
@@ -198,9 +203,10 @@ impl AnalysisEngine {
             ctx: EvalContext::new(model)?,
             cycle_cache: None,
             cycle_stats: CycleStats::default(),
+            mc_cache: None,
             mc_trials: 10_000,
             mc_seed: 20120402,
-            mc_threads: 0,
+            mc_threads: 1,
         })
     }
 
@@ -427,11 +433,14 @@ impl AnalysisEngine {
     /// Monte Carlo simulation with any of the three weight-generation
     /// classes, on the batched columnar path (see
     /// [`maut_sense::montecarlo`]; results are seed-deterministic and
-    /// independent of [`AnalysisEngine::mc_threads`]).
+    /// independent of [`AnalysisEngine::mc_threads`]). Stateless: always
+    /// a fresh full run.
     pub fn monte_carlo(&self, config: MonteCarloConfig) -> MonteCarloResult {
-        MonteCarlo::new(config, self.mc_trials, self.mc_seed)
-            .with_threads(self.mc_threads)
-            .run_ctx(&self.ctx)
+        self.simulation(config).run_ctx(&self.ctx)
+    }
+
+    fn simulation(&self, config: MonteCarloConfig) -> MonteCarlo {
+        MonteCarlo::new(config, self.mc_trials, self.mc_seed).with_threads(self.mc_threads)
     }
 
     /// Run the complete Section IV + V pipeline against the shared
@@ -439,7 +448,8 @@ impl AnalysisEngine {
     /// [`AnalysisEngine::potentially_optimal`]).
     pub fn analyze(&mut self) -> Result<Analysis, LpError> {
         let discard = self.discard_cycle()?;
-        self.finish_analysis(discard)
+        let monte_carlo = self.monte_carlo(MonteCarloConfig::ElicitedIntervals);
+        Ok(self.finish_analysis(discard, monte_carlo))
     }
 
     /// [`AnalysisEngine::analyze`] for the what-if loop: the discard
@@ -447,22 +457,36 @@ impl AnalysisEngine {
     /// (pair-level re-optimization after `set_perf`, full-recompute
     /// fallback when the dirty set is empty-of-cache / weight-wide / too
     /// large), the evaluation stage through the context's own row-level
-    /// cache. Stability and Monte Carlo are inherently whole-model scans
-    /// and always recompute.
+    /// cache, and Monte Carlo through
+    /// [`maut_sense::MonteCarlo::rerun_ctx`], which after `set_perf`
+    /// recounts only the alternatives whose pair order the edit can
+    /// change (and draws nothing when there are none). Monte Carlo runs
+    /// in full on the first call, after a weight edit or a change of
+    /// trials or seed, and after any run with a draw outside the
+    /// elicited box. Stability is a whole-model scan and always
+    /// recomputes. Every result equals [`AnalysisEngine::analyze`]'s on
+    /// the same model (Monte Carlo counts exactly).
     pub fn analyze_incremental(&mut self) -> Result<Analysis, LpError> {
         let discard = self.discard_cycle_incremental()?;
-        self.finish_analysis(discard)
+        let monte_carlo = self
+            .simulation(MonteCarloConfig::ElicitedIntervals)
+            .rerun_ctx(&self.ctx, &mut self.mc_cache);
+        Ok(self.finish_analysis(discard, monte_carlo))
     }
 
-    fn finish_analysis(&mut self, discard: DiscardCycle) -> Result<Analysis, LpError> {
-        Ok(Analysis {
+    fn finish_analysis(
+        &mut self,
+        discard: DiscardCycle,
+        monte_carlo: MonteCarloResult,
+    ) -> Analysis {
+        Analysis {
             evaluation: Evaluation::clone(&self.evaluate()),
             stability: self.stability_all(StabilityMode::BestAlternative),
             non_dominated: discard.non_dominated,
             potential: discard.potential,
             intensity: discard.intensity,
-            monte_carlo: self.monte_carlo(MonteCarloConfig::ElicitedIntervals),
-        })
+            monte_carlo,
+        }
     }
 }
 
@@ -595,23 +619,7 @@ mod tests {
         assert_cycles_agree(&incr, &fresh.discard_cycle_incremental().expect("healthy"));
     }
 
-    #[test]
-    fn analyze_incremental_matches_full_analyze() {
-        let mut e = engine();
-        e.analyze_incremental().expect("solver healthy");
-        let kanzaki = e
-            .model()
-            .alternatives
-            .iter()
-            .position(|n| n == "Kanzaki Music")
-            .expect("present");
-        let doc = e.model().find_attribute("doc_quality").expect("exists");
-        e.set_perf(kanzaki, doc, Perf::level(3)).expect("valid");
-        let incr = e.analyze_incremental().expect("solver healthy");
-
-        let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
-        fresh.set_mc_trials(e.mc_trials()).unwrap();
-        let full = fresh.analyze().expect("solver healthy");
+    fn assert_analyses_agree(incr: &Analysis, full: &Analysis) {
         assert_eq!(incr.evaluation, full.evaluation);
         assert_eq!(incr.non_dominated, full.non_dominated);
         assert_eq!(incr.intensity, full.intensity);
@@ -619,10 +627,59 @@ mod tests {
             assert_eq!(a.potentially_optimal, b.potentially_optimal);
             assert!((a.slack - b.slack).abs() < 1e-7);
         }
-        assert_eq!(
-            incr.monte_carlo.rank_counts(),
-            full.monte_carlo.rank_counts()
-        );
+        let (a, b) = (&incr.monte_carlo, &full.monte_carlo);
+        assert_eq!(a.rank_counts(), b.rank_counts());
+        let bits = |r: &MonteCarloResult| -> Vec<[u64; 5]> {
+            let stats = r.stats.iter();
+            stats
+                .map(|s| [s.p25, s.median, s.p75, s.mean, s.std_dev].map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn analyze_incremental_matches_full_analyze() {
+        // Reruns after zero to three edits each: one-cell what-ifs, a
+        // no-op edit, edits back to an earlier level, and a weight edit
+        // in mid-sequence, at a trial count that leaves a partial block.
+        let mut e = engine();
+        e.set_mc_trials(301).unwrap();
+        let cell = |e: &AnalysisEngine, name: &str, attr: &str| {
+            let alt = e.model().alternatives.iter().position(|n| n == name);
+            let attr = e.model().find_attribute(attr);
+            (alt.expect("present"), attr.expect("exists"))
+        };
+        let (kanzaki, doc) = cell(&e, "Kanzaki Music", "doc_quality");
+        let (media, financ) = cell(&e, "Media Ontology", "financ_cost");
+        let was = e.model().perf.get(kanzaki, doc.index());
+        let understandability = e.model().tree.find("understandability").expect("exists");
+        let steps: Vec<Vec<(usize, maut::AttributeId, Perf)>> = vec![
+            vec![],
+            vec![(kanzaki, doc, Perf::level(3))],
+            vec![],
+            vec![(kanzaki, doc, Perf::level(3))],
+            vec![(media, financ, Perf::level(0)), (kanzaki, doc, was)],
+            vec![
+                (kanzaki, doc, Perf::level(3)),
+                (media, doc, Perf::level(0)),
+                (kanzaki, doc, was),
+            ],
+            vec![(media, financ, Perf::level(2))],
+        ];
+        for (step, edits) in steps.into_iter().enumerate() {
+            if step == 3 {
+                e.set_weight(understandability, Interval::new(0.1, 0.3))
+                    .expect("feasible");
+            }
+            for (alt, attr, perf) in edits {
+                e.set_perf(alt, attr, perf).expect("valid");
+            }
+            let incr = e.analyze_incremental().expect("solver healthy");
+            let mut fresh = AnalysisEngine::new(e.model().clone()).expect("valid");
+            fresh.set_mc_trials(e.mc_trials()).unwrap();
+            assert_analyses_agree(&incr, &fresh.analyze().expect("solver healthy"));
+        }
     }
 
     #[test]

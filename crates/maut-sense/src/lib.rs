@@ -44,7 +44,7 @@ pub use intensity::{
     dominance_intervals_ctx, intensity_ranking_ctx, DominanceInterval, IntensityRank,
     IntervalMatrix,
 };
-pub use montecarlo::{MonteCarlo, MonteCarloConfig, MonteCarloResult};
+pub use montecarlo::{MonteCarlo, MonteCarloCache, MonteCarloConfig, MonteCarloResult};
 pub use potential::{
     certify_ctx, certify_incremental_ctx, discarded_ctx, potentially_optimal_ctx, PotentialCert,
     PotentialOutcome,

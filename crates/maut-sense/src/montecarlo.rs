@@ -48,6 +48,20 @@
 //! ([`MonteCarlo::run_scalar_ctx`]), one thread, or N threads;
 //! `tests/soa_equivalence.rs` and the `windowed_kernel_matches_scalar_reference`
 //! property lock that down differentially.
+//!
+//! ## Reruns after an edit
+//!
+//! [`MonteCarlo::rerun_ctx`] keeps a [`MonteCarloCache`] of its last run.
+//! With the same config, trial count, seed and weight bounds the draws
+//! repeat exactly, so after a `set_perf` only the alternatives whose
+//! order against an edited row may differ in some draw are recounted:
+//! the windows are planned for them alone and score only the positions
+//! they read, and every other alternative's counts row is copied. A run
+//! with a draw outside the box keeps no cache, since the copy relies on
+//! the certificate holding in every draw. A full run is the rerun that
+//! recounts every alternative, so both go through the one kernel; the
+//! `incremental_monte_carlo_matches_fresh_run` property checks rerun ≡
+//! fresh run.
 
 use maut::soa::BandMatrixSoA;
 use maut::weights::AttributeWeights;
@@ -121,6 +135,19 @@ pub struct MonteCarloResult {
 }
 
 impl MonteCarloResult {
+    fn new(trials: usize, accumulator: RankAccumulator) -> MonteCarloResult {
+        MonteCarloResult {
+            trials,
+            stats: accumulator.stats(),
+            accumulator,
+        }
+    }
+
+    /// A result of no trials over no alternatives, which allocates nothing.
+    fn empty() -> MonteCarloResult {
+        MonteCarloResult::new(0, RankAccumulator::new(Vec::new()))
+    }
+
     /// Rank-acceptability index: share of trials where `alt` took `rank`
     /// (1-based).
     pub fn acceptability(&self, alt: usize, rank: usize) -> f64 {
@@ -293,19 +320,102 @@ impl MonteCarlo {
     /// [`MonteCarlo::threads`]). Produces exactly the same result as
     /// [`MonteCarlo::run_scalar_ctx`] for any worker count.
     pub fn run_ctx(&self, ctx: &EvalContext) -> MonteCarloResult {
+        self.rerun_ctx(ctx, &mut None)
+    }
+
+    /// [`MonteCarlo::run_ctx`] for the what-if loop: `cache` holds the
+    /// previous run (this call replaces it), and when that run had the
+    /// same config, trial count, seed, weight bounds and alternatives,
+    /// only the alternatives an edit of the midpoints can reorder are
+    /// recounted; see [`MonteCarloCache`]. The result is always exactly
+    /// what [`MonteCarlo::run_ctx`] returns on the same context.
+    pub fn rerun_ctx(
+        &self,
+        ctx: &EvalContext,
+        cache: &mut Option<MonteCarloCache>,
+    ) -> MonteCarloResult {
+        let soa = ctx.soa();
+        let names = &ctx.model().alternatives;
+        let n = soa.n_alternatives();
+        if n > DENSE_RANK_MAX {
+            *cache = None;
+            let (acc, _) = self.record(ctx, None);
+            return MonteCarloResult::new(self.trials, acc);
+        }
+        let (lows, upps) = (ctx.weights().lows(), ctx.weights().upps());
+        let (lower, upper) = self.widened_box(ctx.weights());
+        let previous = cache.take().filter(|c| {
+            c.config == self.config
+                && (c.trials, c.seed) == (self.trials, self.seed)
+                && same_bits(&c.lows, &lows)
+                && same_bits(&c.upps, &upps)
+                && c.result.accumulator.labels() == names.as_slice()
+        });
+        let mut recount = vec![true; n];
+        let mut kept = None;
+        let mut c = match previous {
+            Some(mut c) => {
+                let mut changed = vec![false; n];
+                recount.fill(false);
+                if diff_mids(soa, &mut c.mids, &mut changed) {
+                    let before = c.rel.clone();
+                    let touched = |&(i, k): &(usize, usize)| changed[i] || changed[k];
+                    certify(soa, &lower, &upper, &mut c.rel, pairs(n).filter(touched));
+                    mark_recount(&before, &c.rel, &changed, &mut recount);
+                }
+                if !recount.contains(&true) {
+                    let result = c.result.clone();
+                    *cache = Some(c);
+                    return result;
+                }
+                kept = Some(std::mem::replace(&mut c.result, MonteCarloResult::empty()));
+                c
+            }
+            None => {
+                let mut rel = vec![PairOrder::Unknown; n * n];
+                certify(soa, &lower, &upper, &mut rel, pairs(n));
+                MonteCarloCache {
+                    config: self.config.clone(),
+                    trials: self.trials,
+                    seed: self.seed,
+                    lows,
+                    upps,
+                    mids: (0..soa.n_attributes())
+                        .flat_map(|j| soa.mid_col(j).iter().copied())
+                        .collect(),
+                    rel,
+                    result: MonteCarloResult::empty(),
+                }
+            }
+        };
+        let kernel = WindowKernel::new(soa, &c.rel, &recount, lower, upper);
+        let (mut acc, in_box) = self.record(ctx, Some(&kernel));
+        if let Some(kept) = &kept {
+            for alt in (0..n).filter(|&alt| !recount[alt]) {
+                acc.copy_row(&kept.accumulator, alt);
+            }
+        }
+        c.result = MonteCarloResult::new(self.trials, acc);
+        let result = c.result.clone();
+        // The copied rows hold only where every draw lies in the box the
+        // certificate covers; a run with a fallback draw outside it
+        // leaves nothing to reuse.
+        *cache = in_box.then_some(c);
+        result
+    }
+
+    /// Draw every trial and rank it into one accumulator: through
+    /// `kernel` up to [`DENSE_RANK_MAX`] alternatives, by sorting beyond.
+    /// Also reports whether every draw lay in the kernel's box.
+    fn record(&self, ctx: &EvalContext, kernel: Option<&WindowKernel>) -> (RankAccumulator, bool) {
         let n_attrs = ctx.model().num_attributes();
         let sampler = self.sampler(n_attrs, ctx.weights());
         let soa = ctx.soa();
         let names = &ctx.model().alternatives;
         let n_alts = soa.n_alternatives();
-        // The pair certificate is computed once, before any fan-out; the
-        // workers only read it.
-        let dense = (n_alts <= DENSE_RANK_MAX).then(|| {
-            let (lower, upper) = self.widened_box(ctx.weights());
-            WindowKernel::new(soa, lower, upper)
-        });
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut acc = RankAccumulator::new(names.clone());
+        let mut in_box = true;
         let mut samples = vec![0.0; BATCH_TRIALS.min(self.trials) * n_attrs];
         let mut done = 0usize;
         while done < self.trials {
@@ -316,28 +426,27 @@ impl MonteCarlo {
             let parts = par::map_ranges(batch, self.threads, PAR_MIN_TRIALS, |range| {
                 let mut local = RankAccumulator::new(names.clone());
                 let worker = &samples[range.start * n_attrs..range.end * n_attrs];
-                if let Some(kernel) = &dense {
-                    kernel.record(soa, worker, &mut local);
-                } else {
-                    let mut scores = vec![0.0; n_alts];
-                    let mut scratch = RankScratch::default();
-                    for sample in worker.chunks_exact(n_attrs) {
-                        soa.score_into(sample, &mut scores);
-                        local.record_scores_with(&scores, &mut scratch);
+                let inside = match kernel {
+                    Some(kernel) => kernel.record(soa, worker, &mut local),
+                    None => {
+                        let mut scores = vec![0.0; n_alts];
+                        let mut scratch = RankScratch::default();
+                        for sample in worker.chunks_exact(n_attrs) {
+                            soa.score_into(sample, &mut scores);
+                            local.record_scores_with(&scores, &mut scratch);
+                        }
+                        false
                     }
-                }
-                local
+                };
+                (local, inside)
             });
-            for part in &parts {
+            for (part, inside) in &parts {
                 acc.merge(part);
+                in_box &= inside;
             }
             done += batch;
         }
-        MonteCarloResult {
-            trials: self.trials,
-            stats: acc.stats(),
-            accumulator: acc,
-        }
+        (acc, in_box)
     }
 
     /// The scalar reference path: one weight vector drawn and scored at a
@@ -373,18 +482,47 @@ impl MonteCarlo {
                 .collect();
             acc.record_scores(&scores);
         }
-        MonteCarloResult {
-            trials: self.trials,
-            stats: acc.stats(),
-            accumulator: acc,
-        }
+        MonteCarloResult::new(self.trials, acc)
     }
+}
+
+/// What [`MonteCarlo::rerun_ctx`] keeps of its last run, so the next
+/// run after a `set_perf` recounts only the alternatives the edit can
+/// reorder.
+///
+/// A rerun with the same config, trial count, seed, weight bounds and
+/// alternatives draws exactly the same weights, and the kept run had
+/// every draw inside the widened box its pair certificate covers (a run
+/// with a fallback draw outside it keeps no cache). The rerun finds the
+/// rows whose midpoints changed (set `D`) by a bitwise diff against its
+/// copy, re-certifies only the pairs touching `D`, and recounts the
+/// alternatives `x` with some pair `(x, y)` touching `D` that is not
+/// certified with the same order both before and after. Every other
+/// alternative compares the same way with every rival in every draw —
+/// unchanged rows score the same, and the other pairs keep a certified
+/// order — so its row of the counts is copied. When no alternative needs
+/// a recount, the kept result is returned without drawing a sample.
+#[derive(Debug, Clone)]
+pub struct MonteCarloCache {
+    config: MonteCarloConfig,
+    trials: usize,
+    seed: u64,
+    /// The weight bounds the run sampled from.
+    lows: Vec<f64>,
+    upps: Vec<f64>,
+    /// The midpoint columns the run scored, attribute-major
+    /// (`mids[j·n + i]`, as [`BandMatrixSoA::mid_col`] lays them out).
+    mids: Vec<f64>,
+    /// The pair certificate, `rel[i·n + k]` being how `i` stands against
+    /// `k` in every in-box draw.
+    rel: Vec<PairOrder>,
+    result: MonteCarloResult,
 }
 
 /// The dense-model kernel of [`MonteCarlo::run_ctx`] (up to
 /// [`DENSE_RANK_MAX`] alternatives): the run's pair certificate as
-/// [`RankWindows`], the midpoint rows in window position order, and the
-/// box the certificate holds in.
+/// [`RankWindows`] over the alternatives it counts, the midpoint rows in
+/// window position order, and the box the certificate holds in.
 struct WindowKernel {
     windows: RankWindows,
     /// `rows[p·m + j]`: midpoint utility of the alternative at position
@@ -395,18 +533,17 @@ struct WindowKernel {
 }
 
 impl WindowKernel {
-    /// Certify every pair over the polytope of `lower`/`upper` and plan
-    /// the windows. A box that cannot meet the simplex certifies nothing.
-    fn new(soa: &BandMatrixSoA, lower: Vec<f64>, upper: Vec<f64>) -> WindowKernel {
+    /// Plan the windows of the alternatives `counted` marks from the pair
+    /// relation `rel`, certified over the box `lower`/`upper`.
+    fn new(
+        soa: &BandMatrixSoA,
+        rel: &[PairOrder],
+        counted: &[bool],
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+    ) -> WindowKernel {
         let (n, m) = (soa.n_alternatives(), soa.n_attributes());
-        let mut rel = vec![PairOrder::Unknown; n * n];
-        if let Some(polytope) = WeightPolytope::new(&lower, &upper) {
-            let center = polytope.centroid();
-            let mut coeffs = vec![0.0; m * POUR_LANES];
-            let mut scratch = GreedyScratch::default();
-            certify_pairs(&polytope, &center, soa, &mut rel, &mut coeffs, &mut scratch);
-        }
-        let windows = RankWindows::new(n, &rel);
+        let windows = RankWindows::new(n, rel, counted);
         let mut rows = Vec::with_capacity(n * m);
         for &alt in windows.order() {
             rows.extend((0..m).map(|j| soa.mid(alt, j)));
@@ -420,17 +557,20 @@ impl WindowKernel {
     }
 
     /// Rank the trials of `samples` (row-major, one weight vector per
-    /// trial) into `acc`. Full blocks whose weights all lie in the box go
-    /// through the windows; a trailing partial block, or a block holding a
-    /// fallback draw outside the box, is scored and ranked in full.
-    fn record(&self, soa: &BandMatrixSoA, samples: &[f64], acc: &mut RankAccumulator) {
+    /// trial) into `acc`, and report whether every weight lay in the box.
+    /// Full blocks whose weights all lie in the box go through the
+    /// windows; a trailing partial block, or a block holding a fallback
+    /// draw outside the box, is scored and ranked in full.
+    fn record(&self, soa: &BandMatrixSoA, samples: &[f64], acc: &mut RankAccumulator) -> bool {
         let (n, m) = (soa.n_alternatives(), soa.n_attributes());
         let mut samples_t = vec![0.0; BLOCK_TRIALS * m];
         let mut scores_t = vec![0.0; BLOCK_TRIALS * n];
+        let mut all_inside = true;
         for chunk in samples.chunks(BLOCK_TRIALS * m) {
             let block = chunk.len() / m;
             let samples_t = &mut samples_t[..block * m];
             let inside = transpose_in_box(chunk, &self.lower, &self.upper, samples_t);
+            all_inside &= inside;
             if inside && block == BLOCK_TRIALS {
                 score_positions(&self.rows, self.windows.scored(), samples_t, &mut scores_t);
                 acc.record_windows_16(&scores_t, &self.windows);
@@ -440,26 +580,113 @@ impl WindowKernel {
                 acc.record_scores_transposed(scores_t, block);
             }
         }
+        all_inside
     }
 }
 
-/// Fill `rel` (`n × n`, all `Unknown` on entry) with every pair order the
-/// polytope decides. Each pair is oriented by its sign at `center`, a
-/// point of the polytope, since that is the only side it could be
-/// certified on; one pour per pair then settles it. `(i, k)` becomes
-/// `Above` (and `(k, i)` `Below`) when the minimum of `(midᵢ − midₖ)·w`
-/// over the polytope clears the margin. [`POUR_LANES`] pairs go into
-/// each block pour; `coeffs` holds one attribute-major block.
+/// Every pair `(i, k)` with `i < k` of `n` alternatives.
+fn pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |i| (i + 1..n).map(move |k| (i, k)))
+}
+
+/// Whether two vectors hold the same values bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Set the `rel` entries of `pairs` to the order the polytope of the box
+/// `lower`/`upper` decides for them; a box that cannot meet the simplex
+/// decides none.
+fn certify(
+    soa: &BandMatrixSoA,
+    lower: &[f64],
+    upper: &[f64],
+    rel: &mut [PairOrder],
+    pairs: impl Iterator<Item = (usize, usize)>,
+) {
+    let n = soa.n_alternatives();
+    match WeightPolytope::new(lower, upper) {
+        Some(polytope) => {
+            let center = polytope.centroid();
+            let mut coeffs = vec![0.0; soa.n_attributes() * POUR_LANES];
+            let mut scratch = GreedyScratch::default();
+            certify_pairs(
+                &polytope,
+                &center,
+                soa,
+                pairs,
+                rel,
+                &mut coeffs,
+                &mut scratch,
+            );
+        }
+        None => {
+            for (i, k) in pairs {
+                rel[i * n + k] = PairOrder::Unknown;
+                rel[k * n + i] = PairOrder::Unknown;
+            }
+        }
+    }
+}
+
+/// Copy the midpoint columns into `mids` (laid out as in
+/// [`MonteCarloCache`]), mark in `changed` the alternatives whose row
+/// differs from the copy in any bit, and report whether any did.
+fn diff_mids(soa: &BandMatrixSoA, mids: &mut [f64], changed: &mut [bool]) -> bool {
+    let n = soa.n_alternatives();
+    let mut any = false;
+    for (j, kept) in mids.chunks_exact_mut(n).enumerate() {
+        for ((kept, &mid), changed) in kept.iter_mut().zip(soa.mid_col(j)).zip(changed.iter_mut()) {
+            if kept.to_bits() != mid.to_bits() {
+                *kept = mid;
+                *changed = true;
+                any = true;
+            }
+        }
+    }
+    any
+}
+
+/// Mark in `recount` both alternatives of every pair touching a `changed`
+/// row whose order is not certified the same way `before` and `after`
+/// the edit.
+fn mark_recount(before: &[PairOrder], after: &[PairOrder], changed: &[bool], recount: &mut [bool]) {
+    let n = changed.len();
+    for (i, (&edited, (was, now))) in changed
+        .iter()
+        .zip(before.chunks_exact(n).zip(after.chunks_exact(n)))
+        .enumerate()
+    {
+        if !edited {
+            continue;
+        }
+        for (k, (&was, &now)) in was.iter().zip(now).enumerate() {
+            if k != i && (now == PairOrder::Unknown || now != was) {
+                recount[i] = true;
+                recount[k] = true;
+            }
+        }
+    }
+}
+
+/// Set the `rel` entries (`n × n`) of every pair `pairs` yields to the
+/// order the polytope decides. Each pair is oriented by its sign at
+/// `center`, a point of the polytope, since that is the only side it
+/// could be certified on; one pour per pair then settles it. `(i, k)`
+/// becomes `Above` (and `(k, i)` `Below`) when the minimum of
+/// `(midᵢ − midₖ)·w` over the polytope clears the margin, and both
+/// become `Unknown` otherwise. [`POUR_LANES`] pairs go into each block
+/// pour; `coeffs` holds one attribute-major block.
 fn certify_pairs(
     polytope: &WeightPolytope,
     center: &[f64],
     soa: &BandMatrixSoA,
+    mut pairs: impl Iterator<Item = (usize, usize)>,
     rel: &mut [PairOrder],
     coeffs: &mut [f64],
     scratch: &mut GreedyScratch,
 ) {
     let n = soa.n_alternatives();
-    let mut pairs = (0..n).flat_map(|i| (i + 1..n).map(move |k| (i, k)));
     loop {
         let mut lanes = [(0, 0); POUR_LANES];
         let mut margin = [CERTIFY_MARGIN; POUR_LANES];
@@ -484,10 +711,13 @@ fn certify_pairs(
         }
         let min = polytope.minimize_block(coeffs, live, scratch);
         for ((&(hi, lo), &low), &slack) in lanes[..live].iter().zip(&min).zip(&margin) {
-            if low > slack {
-                rel[hi * n + lo] = PairOrder::Above;
-                rel[lo * n + hi] = PairOrder::Below;
-            }
+            let (order, reverse) = if low > slack {
+                (PairOrder::Above, PairOrder::Below)
+            } else {
+                (PairOrder::Unknown, PairOrder::Unknown)
+            };
+            rel[hi * n + lo] = order;
+            rel[lo * n + hi] = reverse;
         }
     }
 }
@@ -538,6 +768,16 @@ mod tests {
 
     fn ctx(m: &DecisionModel) -> EvalContext {
         EvalContext::new(m.clone()).expect("valid model")
+    }
+
+    /// The kernel of a full run of `mc` on `c`: every pair certified,
+    /// every alternative counted.
+    fn certified_kernel(c: &EvalContext, mc: &MonteCarlo) -> WindowKernel {
+        let n = c.soa().n_alternatives();
+        let (lower, upper) = mc.widened_box(c.weights());
+        let mut rel = vec![PairOrder::Unknown; n * n];
+        certify(c.soa(), &lower, &upper, &mut rel, pairs(n));
+        WindowKernel::new(c.soa(), &rel, &vec![true; n], lower, upper)
     }
 
     fn model() -> DecisionModel {
@@ -726,8 +966,7 @@ mod tests {
         // which swap with the weights, are swept against each other.
         let c = ctx(&model());
         let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 1, 1);
-        let (lower, upper) = mc.widened_box(c.weights());
-        let kernel = WindowKernel::new(c.soa(), lower, upper);
+        let kernel = certified_kernel(&c, &mc);
         let order = kernel.windows.order();
         assert_eq!((order[0], order[3]), (0, 3));
         let scored: Vec<usize> = kernel.windows.scored().iter().map(|&p| order[p]).collect();
@@ -737,8 +976,7 @@ mod tests {
         // everywhere (`top` ties `spiky-x` at `w_y = 0`), so every
         // alternative keeps an uncertified rival and is scored.
         let mc = MonteCarlo::new(MonteCarloConfig::Random, 1, 1);
-        let (lower, upper) = mc.widened_box(c.weights());
-        let kernel = WindowKernel::new(c.soa(), lower, upper);
+        let kernel = certified_kernel(&c, &mc);
         assert_eq!(kernel.windows.scored().len(), 4);
     }
 
@@ -765,8 +1003,7 @@ mod tests {
         b.alternative("y-heavy", vec![Perf::level(0), Perf::level(1)]);
         let c = ctx(&b.build().unwrap());
         let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 160, 9);
-        let (lower, upper) = mc.widened_box(c.weights());
-        let kernel = WindowKernel::new(c.soa(), lower, upper);
+        let kernel = certified_kernel(&c, &mc);
         assert!(kernel.windows.scored().is_empty(), "the pair is certified");
         let reference = mc.run_scalar_ctx(&c);
         let flipped = reference.rank_counts()[0][1];

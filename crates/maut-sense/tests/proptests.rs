@@ -341,3 +341,123 @@ proptest! {
         }
     }
 }
+
+/// Stats of a Monte Carlo result by bits, in model order.
+fn stats_bits(r: &maut_sense::MonteCarloResult) -> Vec<(String, [u64; 5], [u32; 3], usize)> {
+    r.stats
+        .iter()
+        .map(|s| {
+            let bits = [s.p25, s.median, s.p75, s.mean, s.std_dev].map(f64::to_bits);
+            (s.label.clone(), bits, [s.mode, s.min, s.max], s.times_best)
+        })
+        .collect()
+}
+
+/// A model for the incremental Monte Carlo property: the paper's, the
+/// assessment corpus's, a generated Flat, Deep or NearDegenerate model
+/// of `n_alts` alternatives, or a tie-heavy [`kernel_model`] under any of
+/// its weight boxes (`5`) or under the box whose every draw is a
+/// fallback (`6`).
+fn rerun_model(kind: usize, n_alts: usize, n_attrs: usize, seed: u64) -> DecisionModel {
+    use gmaa_gen::{Family, GenConfig};
+    let generated = |family| {
+        gmaa_gen::generate(&GenConfig::preset(
+            family,
+            n_alts.max(2),
+            n_attrs.max(2),
+            seed,
+        ))
+    };
+    match kind {
+        0 => neon_reuse::paper_model().model,
+        1 => neon_reuse::corpus::assessment_model(10, seed),
+        2 => generated(Family::Flat),
+        3 => generated(Family::Deep),
+        4 => generated(Family::NearDegenerate),
+        5 => kernel_model(
+            n_attrs,
+            n_alts,
+            2 + seed as usize % 4,
+            seed as usize % 5,
+            seed,
+        ),
+        _ => kernel_model(n_attrs, n_alts, 2 + seed as usize % 4, 2, seed),
+    }
+}
+
+proptest! {
+    /// `MonteCarlo::rerun_ctx`, which after an edit recounts only the
+    /// alternatives whose pair order the edit can change and copies every
+    /// other row of the counts, returns exactly what a fresh `run_ctx`
+    /// returns on the same context: rank counts and stats by bits, over
+    /// sequences of reruns with zero to three `set_perf` edits before
+    /// each (no-op edits and edits back to an earlier level among them),
+    /// a `set_weight` in mid-sequence, on the paper, assessment, Flat,
+    /// Deep and NearDegenerate models and tie-heavy models of 2–64
+    /// alternatives (fallback-forcing boxes included), for 1–299 and
+    /// 10 000 trials, one to three workers and all four simulation
+    /// classes.
+    #[test]
+    fn incremental_monte_carlo_matches_fresh_run(
+        shape in (0usize..7, 2usize..65, 1usize..11),
+        run in (1usize..300, 0usize..5, 1usize..4, 0usize..4),
+        plan in (1usize..7, 0usize..8, 0u64..1_000_000),
+    ) {
+        let ((kind, n_alts, n_attrs), (trials, long, threads, class)) = (shape, run);
+        let (steps, weight_step, seed) = plan;
+        let trials = if long == 0 { 10_000 } else { trials };
+        // The fallback box only leaves its draws outside under the
+        // class that samples it.
+        let class = if kind == 6 { 3 } else { class };
+        let model = rerun_model(kind, n_alts, n_attrs, seed);
+        let n = model.num_alternatives();
+        let m = model.num_attributes();
+        let cells: Vec<(AttributeId, usize)> = model
+            .attributes
+            .iter()
+            .enumerate()
+            .filter_map(|(j, a)| match &a.scale {
+                Scale::Discrete(d) if d.len() > 1 => Some((AttributeId::from_index(j), d.len())),
+                _ => None,
+            })
+            .collect();
+        let mut c = ctx(&model);
+        let mc = MonteCarlo::new(kernel_config(class, m, seed), trials, seed).with_threads(threads);
+        let mut cache = None;
+        let mut state = seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut undo: Vec<(usize, AttributeId, Perf)> = Vec::new();
+        for step in 0..steps {
+            if step == weight_step {
+                let root = c.model().tree.root();
+                let children = c.model().tree.get(root).children.clone();
+                let objective = children[next(children.len())];
+                let w = c.model().resolved_local_weights()[objective.index()];
+                let wider = Interval::new(w.lo() * 0.5, (w.hi() + 0.1).min(1.0));
+                c.set_weight(objective, wider).expect("widening stays feasible");
+            }
+            for _ in 0..next(4) {
+                if cells.is_empty() {
+                    break;
+                }
+                let earlier = if next(3) == 0 { undo.pop() } else { None };
+                let (alt, attr, perf) = earlier.unwrap_or_else(|| {
+                    let (attr, levels) = cells[next(cells.len())];
+                    (next(n), attr, Perf::level(next(levels)))
+                });
+                undo.push((alt, attr, c.model().perf.get(alt, attr.index())));
+                c.set_perf(alt, attr, perf).expect("level on the scale");
+            }
+            let rerun = mc.rerun_ctx(&c, &mut cache);
+            let fresh = mc.run_ctx(&c);
+            prop_assert_eq!(rerun.trials, fresh.trials);
+            prop_assert_eq!(rerun.rank_counts(), fresh.rank_counts(), "step {}", step);
+            prop_assert_eq!(stats_bits(&rerun), stats_bits(&fresh), "step {}", step);
+        }
+    }
+}

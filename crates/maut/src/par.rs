@@ -2,9 +2,12 @@
 //!
 //! The build environment is offline, so instead of `rayon` the Monte Carlo
 //! driver in `maut-sense` splits each sample batch over this small pool
-//! built on [`std::thread::scope`]. It is the only caller, and it asks for
-//! threads explicitly (`MonteCarlo::threads`, `AnalysisEngine::mc_threads`,
-//! and `gmaa-serve`'s `SessionConfig::mc_threads`, `1` by default); every
+//! built on [`std::thread::scope`]. It is the only caller, and it asks
+//! for threads explicitly: `MonteCarlo::threads`, and
+//! `AnalysisEngine::mc_threads` and `gmaa-serve`'s
+//! `SessionConfig::mc_threads`, both `1` by default (on a two-core box a
+//! two-worker fan-out of 10 000 paper-model trials measured slower than
+//! one worker, and a server's shard workers are threads already). Every
 //! other analysis runs on the calling thread. Work is split into
 //! contiguous ranges, one scoped thread per range; results are
 //! deterministic because range boundaries depend only on

@@ -39,7 +39,7 @@ struct Sweep {
 
 /// The per-run plan of [`RankAccumulator::record_windows_16`]: which
 /// alternatives each trial must compare, given the pairs whose order is
-/// fixed for the whole run.
+/// fixed for the whole run, for the alternatives the run counts.
 ///
 /// The alternatives are laid out in *positions*, sorted by how many rivals
 /// are known to beat them (model order on ties), so the rivals an
@@ -52,6 +52,11 @@ struct Sweep {
 /// exact for known pairs too, so only the outside needs the certificate.
 /// An alternative with no unknown rival has a fixed rank and is neither
 /// scored nor compared.
+///
+/// A plan may count only some of the alternatives (an incremental Monte
+/// Carlo rerun recounts those an edit can reorder): the others get no
+/// sweep and no fixed rank, their rows of the counts are left untouched,
+/// and only the positions the counted alternatives read are scored.
 #[derive(Debug, Clone, Default)]
 pub struct RankWindows {
     order: Vec<usize>,
@@ -62,11 +67,13 @@ pub struct RankWindows {
 
 impl RankWindows {
     /// Plan the kernel for `n` alternatives from an `n × n` pair relation,
-    /// `rel[i·n + k]` being how `i` stands against `k`. The relation must
-    /// be antisymmetric (`Above` at `(i, k)` exactly when `Below` at
+    /// `rel[i·n + k]` being how `i` stands against `k`, counting the
+    /// alternatives `alt` with `counted[alt]`. The relation must be
+    /// antisymmetric (`Above` at `(i, k)` exactly when `Below` at
     /// `(k, i)`); the diagonal is ignored.
-    pub fn new(n: usize, rel: &[PairOrder]) -> RankWindows {
+    pub fn new(n: usize, rel: &[PairOrder], counted: &[bool]) -> RankWindows {
         assert_eq!(rel.len(), n * n, "pair relation arity");
+        assert_eq!(counted.len(), n, "counted mask arity");
         let row = |i: usize| &rel[i * n..(i + 1) * n];
         let beaten_by: Vec<usize> = (0..n)
             .map(|i| {
@@ -84,6 +91,9 @@ impl RankWindows {
         let mut plan = RankWindows::default();
         let mut scored = vec![false; n];
         for (pos, &alt) in order.iter().enumerate() {
+            if !counted[alt] {
+                continue;
+            }
             let (mut lo, mut hi) = (n, 0);
             for (k, &r) in row(alt).iter().enumerate() {
                 if k != alt && r == PairOrder::Unknown {
@@ -102,7 +112,10 @@ impl RankWindows {
                     k != alt && r == PairOrder::Below && !(lo..hi).contains(&pos_of[k])
                 })
                 .count();
+            // The sweep reads its own row too; a rival's window holds it
+            // in a plan that counts the rival, not always in this one.
             scored[lo..hi].fill(true);
+            scored[pos] = true;
             let spans = if (lo..hi).contains(&pos) {
                 [(lo, pos), (pos + 1, hi)]
             } else {
@@ -126,7 +139,8 @@ impl RankWindows {
     }
 
     /// The positions whose scores [`RankAccumulator::record_windows_16`]
-    /// reads, ascending: the union of every window.
+    /// reads, ascending: the union of the counted alternatives' windows
+    /// and positions.
     pub fn scored(&self) -> &[usize] {
         &self.scored
     }
@@ -463,10 +477,11 @@ impl RankAccumulator {
     /// Record a block of [`RANK_LANES`] trials through a [`RankWindows`]
     /// plan. `scores_t` is position-major (`scores_t[p·RANK_LANES + t]` is
     /// the score of the alternative at position `p` in trial `t`); only
-    /// the plan's [`RankWindows::scored`] positions are read. The counts
-    /// equal those of [`RankAccumulator::record_scores_transposed`] on the
-    /// same trials, provided every pair the plan was built as `Above` or
-    /// `Below` really is ordered so in each of them.
+    /// the plan's [`RankWindows::scored`] positions are read. The rows of
+    /// the plan's counted alternatives equal those of
+    /// [`RankAccumulator::record_scores_transposed`] on the same trials,
+    /// provided every pair the plan was built as `Above` or `Below` really
+    /// is ordered so in each of them; every other row is left as it was.
     pub fn record_windows_16(&mut self, scores_t: &[f64], plan: &RankWindows) {
         const T: usize = RANK_LANES;
         assert_eq!(scores_t.len(), plan.order.len() * T, "score block arity");
@@ -490,6 +505,14 @@ impl RankAccumulator {
             self.counts[alt][rank0] += T;
         }
         self.trials += T;
+    }
+
+    /// Overwrite `alt`'s row of the counts with `other`'s (same label
+    /// set): how an incremental Monte Carlo rerun keeps the rows whose
+    /// ranks an edit cannot change.
+    pub fn copy_row(&mut self, other: &RankAccumulator, alt: usize) {
+        assert_eq!(self.labels.len(), other.labels.len(), "accumulator arity");
+        self.counts[alt].copy_from_slice(&other.counts[alt]);
     }
 
     /// Fold another accumulator's counts into this one (same label set).
@@ -756,7 +779,7 @@ mod tests {
         }
         set(0, 4);
         set(1, 3);
-        let plan = RankWindows::new(n, &rel);
+        let plan = RankWindows::new(n, &rel, &[true; 5]);
         assert_eq!(plan.order(), &[0, 1, 2, 3, 4]);
         assert_eq!(plan.scored(), &[1, 2, 3]);
 
@@ -779,6 +802,32 @@ mod tests {
         windowed.record_windows_16(&scores_t, &plan);
         assert_eq!(dense.counts(), windowed.counts());
         assert_eq!(windowed.trials(), RANK_LANES);
+
+        // Counting only a3 (window: a2) and a4 (fixed last): their rows
+        // match, the others stay empty, and only a3's window and position
+        // are read.
+        let plan = RankWindows::new(n, &rel, &[false, false, false, true, true]);
+        assert_eq!(plan.scored(), &[2, 3]);
+        let mut partial = RankAccumulator::new(dense.labels().to_vec());
+        partial.record_windows_16(&scores_t, &plan);
+        for alt in 0..n {
+            let expect = if alt >= 3 {
+                dense.counts()[alt].clone()
+            } else {
+                vec![0; n]
+            };
+            assert_eq!(partial.counts()[alt], expect, "a{alt}");
+        }
+
+        // Counting only a1, whose one unknown rival is a2: a1's own
+        // position is scored although no counted window holds it.
+        let plan = RankWindows::new(n, &rel, &[false, true, false, false, false]);
+        assert_eq!(plan.scored(), &[1, 2]);
+        let mut partial = RankAccumulator::new(dense.labels().to_vec());
+        partial.record_windows_16(&scores_t, &plan);
+        assert_eq!(partial.counts()[1], dense.counts()[1]);
+        partial.copy_row(&dense, 0);
+        assert_eq!(partial.counts()[0], dense.counts()[0]);
     }
 
     #[test]
