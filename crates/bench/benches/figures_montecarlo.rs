@@ -6,7 +6,7 @@
 //! * `exp14_robustness` — the Section V robustness conclusions
 //! * `abl13_mc_classes` — the three weight-generation classes compared
 //! * `abl15_mc_soa_pipeline` — the hot-loop ablation: scalar reference vs
-//!   batched SoA vs batched SoA with the scoped-thread fan-out
+//!   batched SoA
 //! * Monte Carlo scaling over trial counts, on both pipelines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -120,22 +120,16 @@ fn abl15_mc_soa_pipeline(c: &mut Criterion) {
     let ctx = EvalContext::new(bench::paper()).expect("valid");
     let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402);
     // The ablation only means something if the pipelines agree exactly.
-    let scalar = mc.run_scalar_ctx(&ctx);
-    let batched = mc.clone().with_threads(1).run_ctx(&ctx);
-    let threaded = mc.clone().with_threads(0).run_ctx(&ctx);
-    assert_eq!(scalar.rank_counts(), batched.rank_counts());
-    assert_eq!(scalar.rank_counts(), threaded.rank_counts());
+    assert_eq!(
+        mc.run_scalar_ctx(&ctx).rank_counts(),
+        mc.run_ctx(&ctx).rank_counts()
+    );
 
     let mut group = c.benchmark_group("abl15_mc_soa_pipeline");
     group.bench_function("scalar_reference", |b| {
         b.iter(|| black_box(mc.run_scalar_ctx(&ctx)));
     });
-    group.bench_function("soa_batch_1thread", |b| {
-        let mc = mc.clone().with_threads(1);
-        b.iter(|| black_box(mc.run_ctx(&ctx)));
-    });
-    group.bench_function("soa_batch_parallel", |b| {
-        let mc = mc.clone().with_threads(0);
+    group.bench_function("soa_batch", |b| {
         b.iter(|| black_box(mc.run_ctx(&ctx)));
     });
     group.finish();
@@ -151,9 +145,7 @@ fn montecarlo_scaling(c: &mut Criterion) {
             b.iter(|| black_box(mc.run_scalar_ctx(&ctx)));
         });
         group.bench_with_input(BenchmarkId::new("soa_batch", trials), &trials, |b, &t| {
-            // Pin to one worker so this series isolates the layout win;
-            // abl15_mc_soa_pipeline covers the parallel variant.
-            let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, t, 23).with_threads(1);
+            let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, t, 23);
             b.iter(|| black_box(mc.run_ctx(&ctx)));
         });
     }

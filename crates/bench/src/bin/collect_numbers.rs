@@ -12,8 +12,8 @@
 //! * **incremental** — `set_perf` on one cell followed by re-evaluation
 //!   (only the touched row is re-scored);
 //! * the full `analyze()` cycle, and the Monte Carlo hot-loop ablation
-//!   (scalar reference vs batched SoA vs the scoped-thread fan-out) at
-//!   the paper's 10 000 trials;
+//!   (scalar reference vs batched SoA, and the incremental rerun after
+//!   one `set_perf`) at the paper's 10 000 trials;
 //! * **analysis_cycle** — the Section V discard pipeline (dominance →
 //!   potential optimality → intensity) on the blocked sweeps + the
 //!   bounded-variable LP solver, with its counters (simplex steps per
@@ -47,9 +47,9 @@
 //!   paper's `Analysis` and the Mixed 300×12 `Cycle`) through the
 //!   compact JSON codec, with their sizes;
 //! * **scaling** — the seeded `gmaa-gen` n × m sweep (Mixed family up to
-//!   750 alternatives plus the adversarial presets): cold vs warm vs
-//!   incremental discard-cycle times, LP warm rates and pivots per solve
-//!   per grid point. Pass `--scaling-smoke` to swap in the small
+//!   750 alternatives plus the adversarial presets and Deep 750×10): cold
+//!   vs warm vs incremental discard-cycle times, LP warm rates and pivots
+//!   per solve, and a 10 000-trial Monte Carlo run per grid point. Pass `--scaling-smoke` to swap in the small
 //!   fixed-seed CI grid.
 //!
 //! Results are printed and written to `BENCH_engine.json` in the current
@@ -181,18 +181,15 @@ fn engine_bench(serving: &str) -> String {
     let lp = stats_ctx.lp_stats();
 
     // Monte Carlo hot-loop ablation on a pristine context: the scalar
-    // reference loop vs the batched SoA path vs SoA + scoped-thread
-    // fan-out, all at the paper's 10 000 elicited-interval trials.
+    // reference loop vs the batched SoA path, both at the paper's 10 000
+    // elicited-interval trials.
     let mc_ctx = EvalContext::new(model.clone()).expect("valid");
     let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402);
     let mc_scalar_ns = time_ns(3, || {
-        std::hint::black_box(mc.clone().with_threads(1).run_scalar_ctx(&mc_ctx));
+        std::hint::black_box(mc.run_scalar_ctx(&mc_ctx));
     });
     let mc_soa_ns = time_ns(3, || {
-        std::hint::black_box(mc.clone().with_threads(1).run_ctx(&mc_ctx));
-    });
-    let mc_par_ns = time_ns(3, || {
-        std::hint::black_box(mc.clone().with_threads(0).run_ctx(&mc_ctx));
+        std::hint::black_box(mc.run_ctx(&mc_ctx));
     });
     // The `Analyze` path's Monte Carlo after one `set_perf` (Kanzaki
     // Music's documentation flipping between two levels): the rerun
@@ -200,15 +197,14 @@ fn engine_bench(serving: &str) -> String {
     // change, and must still equal a fresh run.
     let mut mc_ctx = mc_ctx;
     let kanzaki = alt_of("Kanzaki Music");
-    let serial = mc.clone().with_threads(1);
     let mut mc_cache = None;
-    serial.rerun_ctx(&mc_ctx, &mut mc_cache);
+    mc.rerun_ctx(&mc_ctx, &mut mc_cache);
     mc_ctx
         .set_perf(kanzaki, doc, Perf::level(3))
         .expect("valid");
     assert_eq!(
-        serial.rerun_ctx(&mc_ctx, &mut mc_cache).rank_counts(),
-        serial.run_ctx(&mc_ctx).rank_counts()
+        mc.rerun_ctx(&mc_ctx, &mut mc_cache).rank_counts(),
+        mc.run_ctx(&mc_ctx).rank_counts()
     );
     let mut level = 3usize;
     let mc_incr_ns = time_ns(3, || {
@@ -216,12 +212,12 @@ fn engine_bench(serving: &str) -> String {
         mc_ctx
             .set_perf(kanzaki, doc, Perf::level(level))
             .expect("valid");
-        std::hint::black_box(serial.rerun_ctx(&mc_ctx, &mut mc_cache));
+        std::hint::black_box(mc.rerun_ctx(&mc_ctx, &mut mc_cache));
     });
 
     let stats = ctx.stats();
     format!(
-        "{{\n  \"model\": \"paper 23x14\",\n  \"cold_evaluate_ns\": {cold_eval_ns:.0},\n  \"context_evaluate_ns\": {ctx_eval_ns:.0},\n  \"incremental_set_perf_evaluate_ns\": {incr_eval_ns:.0},\n  \"speedup_context_vs_cold\": {:.2},\n  \"speedup_incremental_vs_cold\": {:.2},\n  \"analyze_full_cycle_ns\": {engine_analyze_ns:.0},\n  \"analysis_cycle\": {{\n    \"blocked_warm_start_ns\": {cycle_optimized_ns:.0},\n    \"lp_solves\": {},\n    \"lp_warm_started\": {},\n    \"lp_pivots_total\": {},\n    \"pivots_per_cold_lp\": {:.2},\n    \"pivots_per_warm_lp\": {:.2}\n  }},\n  \"incremental_whatif\": {{\n    \"full_discard_cycle_ns\": {cycle_optimized_ns:.0},\n    \"incremental_set_perf_discard_cycle_ns\": {incr_cycle_ns:.0},\n    \"speedup_incremental_vs_full\": {:.2},\n    \"lp_recertified_per_edit\": {recertified_per_edit:.2},\n    \"frontrunner_edit_ns\": {incr_front_ns:.0},\n    \"frontrunner_speedup_vs_full\": {:.2},\n    \"frontrunner_lp_recertified\": {recertified_front:.2}\n  }},\n  \"montecarlo_10k_trials\": {{\n    \"scalar_ns\": {mc_scalar_ns:.0},\n    \"soa_batch_ns\": {mc_soa_ns:.0},\n    \"soa_parallel_ns\": {mc_par_ns:.0},\n    \"incremental_set_perf_ns\": {mc_incr_ns:.0},\n    \"speedup_soa_batch_vs_scalar\": {:.2},\n    \"speedup_soa_parallel_vs_scalar\": {:.2},\n    \"speedup_incremental_vs_soa_batch\": {:.2}\n  }},\n  \"context_stats\": {{\n    \"cold_evaluations\": {},\n    \"incremental_refreshes\": {},\n    \"cache_hits\": {},\n    \"rows_recomputed\": {}\n  }},\n{serving}\n}}\n",
+        "{{\n  \"model\": \"paper 23x14\",\n  \"cold_evaluate_ns\": {cold_eval_ns:.0},\n  \"context_evaluate_ns\": {ctx_eval_ns:.0},\n  \"incremental_set_perf_evaluate_ns\": {incr_eval_ns:.0},\n  \"speedup_context_vs_cold\": {:.2},\n  \"speedup_incremental_vs_cold\": {:.2},\n  \"analyze_full_cycle_ns\": {engine_analyze_ns:.0},\n  \"analysis_cycle\": {{\n    \"blocked_warm_start_ns\": {cycle_optimized_ns:.0},\n    \"lp_solves\": {},\n    \"lp_warm_started\": {},\n    \"lp_pivots_total\": {},\n    \"pivots_per_cold_lp\": {:.2},\n    \"pivots_per_warm_lp\": {:.2}\n  }},\n  \"incremental_whatif\": {{\n    \"full_discard_cycle_ns\": {cycle_optimized_ns:.0},\n    \"incremental_set_perf_discard_cycle_ns\": {incr_cycle_ns:.0},\n    \"speedup_incremental_vs_full\": {:.2},\n    \"lp_recertified_per_edit\": {recertified_per_edit:.2},\n    \"frontrunner_edit_ns\": {incr_front_ns:.0},\n    \"frontrunner_speedup_vs_full\": {:.2},\n    \"frontrunner_lp_recertified\": {recertified_front:.2}\n  }},\n  \"montecarlo_10k_trials\": {{\n    \"scalar_ns\": {mc_scalar_ns:.0},\n    \"soa_batch_ns\": {mc_soa_ns:.0},\n    \"incremental_set_perf_ns\": {mc_incr_ns:.0},\n    \"speedup_soa_batch_vs_scalar\": {:.2},\n    \"speedup_incremental_vs_soa_batch\": {:.2}\n  }},\n  \"context_stats\": {{\n    \"cold_evaluations\": {},\n    \"incremental_refreshes\": {},\n    \"cache_hits\": {},\n    \"rows_recomputed\": {}\n  }},\n{serving}\n}}\n",
         cold_eval_ns / ctx_eval_ns,
         cold_eval_ns / incr_eval_ns,
         lp.solves,
@@ -232,7 +228,6 @@ fn engine_bench(serving: &str) -> String {
         cycle_optimized_ns / incr_cycle_ns,
         cycle_optimized_ns / incr_front_ns,
         mc_scalar_ns / mc_soa_ns,
-        mc_scalar_ns / mc_par_ns,
         mc_soa_ns / mc_incr_ns,
         stats.cold_evaluations,
         stats.incremental_refreshes,
@@ -542,7 +537,9 @@ fn drive_tcp(addr: std::net::SocketAddr, conns: usize, rounds: usize) -> (f64, V
 /// rejections and showing the queue never grew past its cap.
 fn serving_tcp_bench() -> String {
     use gmaa_serve::net::{Client, NetConfig, Server};
-    use gmaa_serve::{Request, Response, ServeConfig, ServeError, SessionConfig, SessionManager};
+    use gmaa_serve::{
+        Request, Response, ServeConfig, ServeError, SessionConfig, SessionManager, MAX_MC_TRIALS,
+    };
     use std::sync::Arc;
 
     let model = bench::paper();
@@ -591,8 +588,8 @@ fn serving_tcp_bench() -> String {
     drop(server);
     drop(manager);
 
-    // Overload burst: one shard, a small admission queue, a long Monte
-    // Carlo parking the worker, then 2× the queue capacity of pipelined
+    // Overload burst: one shard, a small admission queue, the longest
+    // Monte Carlo a request may ask for parking the worker, then 2× the queue capacity of pipelined
     // analyzes. The queue admits exactly its capacity; the rest shed
     // with the typed Overloaded error at admission time.
     const CAP: usize = 8;
@@ -615,7 +612,7 @@ fn serving_tcp_bench() -> String {
         .send(
             Request::MonteCarlo {
                 session: "hot".into(),
-                trials: 2_000_000,
+                trials: MAX_MC_TRIALS,
             },
             None,
         )
@@ -723,8 +720,8 @@ fn wire_codec_bench() -> String {
 
 /// One `(family, n, m)` point of the scaling sweep: cold / warm /
 /// incremental discard-cycle timings, the LP solve, warm-share and step
-/// counters behind the warm numbers — all from the point's fixed
-/// generator seed.
+/// counters behind the warm numbers, and a 10 000-trial Monte Carlo run —
+/// all from the point's fixed generator seed.
 fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
     use gmaa::AnalysisEngine;
 
@@ -805,16 +802,29 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
         cfg.label()
     );
 
+    // Monte Carlo: the paper's 10 000 elicited-interval trials through
+    // `run_ctx` on a pristine context, fastest of 3 runs.
+    let mc_ctx = EvalContext::new(model.clone()).expect("generated model is valid");
+    let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402);
+    let mc_ns = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(mc.run_ctx(&mc_ctx));
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+
     println!(
-        "scaling {}: cold {:.2}ms warm {:.2}ms incr {:.3}ms warm-rate {:.3}",
+        "scaling {}: cold {:.2}ms warm {:.2}ms incr {:.3}ms warm-rate {:.3} montecarlo {:.1}ms",
         cfg.label(),
         cold_ns / 1e6,
         warm_ns / 1e6,
         inc_ns / 1e6,
         warm_warm as f64 / warm_solves.max(1) as f64,
+        mc_ns / 1e6,
     );
     format!(
-        "      {{\n        \"family\": \"{}\",\n        \"alternatives\": {},\n        \"attributes\": {},\n        \"seed\": {},\n        \"cold_cycle_us\": {:.1},\n        \"warm_cycle_us\": {:.1},\n        \"incremental_cycle_us\": {:.1},\n        \"speedup_warm_vs_cold\": {:.2},\n        \"speedup_incremental_vs_cold\": {:.2},\n        \"lp_solves_per_warm_cycle\": {:.1},\n        \"lp_warm_rate\": {:.3},\n        \"lp_pivots_per_solve\": {:.2}\n      }}",
+        "      {{\n        \"family\": \"{}\",\n        \"alternatives\": {},\n        \"attributes\": {},\n        \"seed\": {},\n        \"cold_cycle_us\": {:.1},\n        \"warm_cycle_us\": {:.1},\n        \"incremental_cycle_us\": {:.1},\n        \"montecarlo_us\": {:.1},\n        \"speedup_warm_vs_cold\": {:.2},\n        \"speedup_incremental_vs_cold\": {:.2},\n        \"lp_solves_per_warm_cycle\": {:.1},\n        \"lp_warm_rate\": {:.3},\n        \"lp_pivots_per_solve\": {:.2}\n      }}",
         cfg.family.key(),
         n,
         cfg.attributes,
@@ -822,6 +832,7 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
         cold_ns / 1e3,
         warm_ns / 1e3,
         inc_ns / 1e3,
+        mc_ns / 1e3,
         cold_ns / warm_ns,
         cold_ns / inc_ns,
         warm_solves as f64 / samples as f64,
@@ -831,9 +842,9 @@ fn scaling_point(cfg: &gmaa_gen::GenConfig, samples: usize) -> String {
 }
 
 /// The `scaling` section: the seeded generator's n × m sweep over
-/// cold / warm / incremental discard cycles. The full grid runs the
-/// Mixed family up to 750 alternatives plus the two adversarial presets
-/// at mid scale; `--scaling-smoke` swaps in a 3-point fixed-seed grid
+/// cold / warm / incremental discard cycles and Monte Carlo. The full
+/// grid runs the Mixed family up to 750 alternatives, the two adversarial
+/// presets at mid scale and a Deep 750 × 10 point; `--scaling-smoke` swaps in a 3-point fixed-seed grid
 /// small enough for every CI push.
 fn scaling_bench(smoke: bool) -> String {
     use gmaa_gen::{Family, GenConfig};
@@ -847,6 +858,9 @@ fn scaling_bench(smoke: bool) -> String {
         (Family::Mixed, 750, 10, 106),
         (Family::NearDegenerate, 300, 10, 107),
         (Family::FrontrunnerHeavy, 300, 10, 108),
+        // Few pairs certify in a deep hierarchy, so the Monte Carlo rank
+        // windows span most rivals: the kernel's worst case.
+        (Family::Deep, 750, 10, 110),
     ];
     let smoke_grid: &[(Family, usize, usize, u64)] = &[
         (Family::Mixed, 100, 8, 101),

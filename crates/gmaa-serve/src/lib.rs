@@ -12,10 +12,9 @@
 //!
 //! * **Sharding.** A [`SessionManager`] spawns N shard worker threads
 //!   (`std::thread` + `mpsc` channels — the workspace is offline, so no
-//!   async runtime; same precedent as `maut::par`). `fnv1a(session) %
-//!   shards` picks the owner, and each worker exclusively owns its
-//!   sessions' engines, so the serving path has no locks and no shared
-//!   mutable state.
+//!   async runtime). `fnv1a(session) % shards` picks the owner, and each
+//!   worker exclusively owns its sessions' engines, so the serving path
+//!   has no locks and no shared mutable state.
 //! * **Typed protocol.** Clients speak [`Request`] / [`Response`]:
 //!   `CreateSession`, the what-if edits `SetPerf` / `SetWeight`,
 //!   `Analyze` / `DiscardCycle` (routed through
@@ -61,7 +60,9 @@ mod store;
 
 pub use admission::TenantQuota;
 pub use manager::{Pending, ServeConfig, SessionManager};
-pub use protocol::{Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot};
+pub use protocol::{
+    Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot, MAX_MC_TRIALS,
+};
 pub use stats::{LoadStats, RequestCounts, ServeStats, ShardStats, StoreStats};
 pub use store::{
     FaultInjectingStore, FileStore, FsyncPolicy, JournalRecord, MemoryStore, SessionStore,

@@ -16,6 +16,12 @@ use maut_sense::{LpError, MonteCarloResult};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Most trials a [`Request::MonteCarlo`] may ask for: 100× the paper's
+/// 10 000. A shard worker runs a simulation to the end before it takes
+/// its next request, so an unbounded count would stall every session on
+/// the shard.
+pub const MAX_MC_TRIALS: usize = 1_000_000;
+
 /// Per-session analysis settings, applied when the session is created and
 /// preserved across hibernation (they travel inside the
 /// [`SessionSnapshot`]).
@@ -26,10 +32,6 @@ pub struct SessionConfig {
     /// Seed of the Monte Carlo stage (results are seed-deterministic, so
     /// a rehydrated session reproduces its pre-eviction simulations).
     pub mc_seed: u64,
-    /// Worker threads of the Monte Carlo stage. Defaults to `1`: shard
-    /// workers are themselves threads, so nested fan-out only pays on
-    /// machines with many more cores than shards.
-    pub mc_threads: usize,
 }
 
 impl Default for SessionConfig {
@@ -37,7 +39,6 @@ impl Default for SessionConfig {
         SessionConfig {
             mc_trials: 10_000,
             mc_seed: 20120402,
-            mc_threads: 1,
         }
     }
 }
@@ -111,12 +112,13 @@ pub enum Request {
         session: String,
     },
     /// Run a Monte Carlo simulation with an explicit trial count (the
-    /// session's seed and thread settings apply; the session's own
-    /// `mc_trials` is untouched).
+    /// session's seed applies; the session's own `mc_trials` is
+    /// untouched).
     MonteCarlo {
         /// Session name.
         session: String,
-        /// Number of weight-sampling trials.
+        /// Number of weight-sampling trials: at least one and at most
+        /// [`MAX_MC_TRIALS`].
         trials: usize,
     },
     /// Capture the session's current state as a [`SessionSnapshot`]

@@ -42,7 +42,6 @@ impl Session {
             .set_mc_trials(config.mc_trials)
             .map_err(|e| ServeError::InvalidRequest(format!("session config: {e}")))?;
         engine.mc_seed = config.mc_seed;
-        engine.mc_threads = config.mc_threads;
         Ok(Session {
             engine,
             config,

@@ -15,7 +15,9 @@
 //! its model has cells, so no journal outgrows that bound.
 
 use crate::admission::ShardGate;
-use crate::protocol::{Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot};
+use crate::protocol::{
+    Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot, MAX_MC_TRIALS,
+};
 use crate::session::Session;
 use crate::stats::{LoadStats, RequestCounts, ShardStats, StoreStats};
 use crate::store::{JournalRecord, SessionStore, StoredSession};
@@ -338,11 +340,18 @@ impl Shard {
             Request::MonteCarlo { session, trials } => {
                 // Validate before touching the engine: MonteCarlo::new
                 // asserts trials > 0, and a panic here would take down
-                // the whole shard, not just this request.
+                // the whole shard, not just this request. The worker
+                // checks deadlines only at dequeue, so a huge count would
+                // stall every session on the shard.
                 if trials == 0 {
                     return Err(ServeError::InvalidRequest(
                         "Monte Carlo needs at least one trial".to_string(),
                     ));
+                }
+                if trials > MAX_MC_TRIALS {
+                    return Err(ServeError::InvalidRequest(format!(
+                        "Monte Carlo takes at most {MAX_MC_TRIALS} trials, got {trials}"
+                    )));
                 }
                 let s = self.touch(&session)?;
                 let result = MonteCarlo::new(
@@ -350,7 +359,6 @@ impl Shard {
                     trials,
                     s.config.mc_seed,
                 )
-                .with_threads(s.config.mc_threads)
                 .run_ctx(s.engine.context());
                 Ok(Response::MonteCarlo(Box::new(result)))
             }
@@ -805,6 +813,33 @@ mod tests {
                 trials: 10,
             }),
             Ok(Response::MonteCarlo(_))
+        ));
+    }
+
+    #[test]
+    fn oversized_monte_carlo_is_rejected_and_the_shard_keeps_serving() {
+        // Regression: only a zero count was refused, so a frame asking
+        // for 10^15 trials pinned the worker in the simulation and
+        // stalled every session on the shard.
+        let mut shard = Shard::new(0, 4, SessionConfig::default());
+        create(&mut shard, "s");
+        for trials in [MAX_MC_TRIALS + 1, 1_000_000_000_000_000] {
+            match shard.handle(Request::MonteCarlo {
+                session: "s".into(),
+                trials,
+            }) {
+                Err(ServeError::InvalidRequest(e)) => {
+                    assert!(e.contains(&MAX_MC_TRIALS.to_string()), "{e}")
+                }
+                other => panic!("{trials} trials: {other:?}"),
+            }
+        }
+        // The shard serves the next request, on the same session.
+        assert!(matches!(
+            shard.handle(Request::Analyze {
+                session: "s".into()
+            }),
+            Ok(Response::Analysis(_))
         ));
     }
 

@@ -438,16 +438,18 @@ fn recovered_names_are_reserved_until_closed() {
 }
 
 /// A snapshot stored before the stability stage lost its scan-resolution
-/// knob: its config still carries `"stability_resolution": 100`.
+/// knob and Monte Carlo its thread count: its config still carries
+/// `"stability_resolution": 100` and `"mc_threads": 1`.
 const LEGACY_SNAPSHOT: &str = include_str!("fixtures/legacy_snapshot.json");
 
 /// A stored snapshot from before `SessionConfig` dropped
-/// `stability_resolution` still loads from a `FileStore` (the unknown
-/// field is ignored) and serves exactly the analysis of a session created
-/// fresh with the same model and settings.
+/// `stability_resolution` and `mc_threads` still loads from a `FileStore`
+/// (the unknown fields are ignored) and serves exactly the analysis of a
+/// session created fresh with the same model and settings.
 #[test]
 fn legacy_snapshot_with_stability_resolution_restores_and_serves() {
     assert!(LEGACY_SNAPSHOT.contains("\"stability_resolution\":100"));
+    assert!(LEGACY_SNAPSHOT.contains("\"mc_threads\":1"));
     let snapshot: SessionSnapshot = serde_json::from_str(LEGACY_SNAPSHOT).unwrap();
     let config = SessionConfig {
         mc_trials: 50,

@@ -171,10 +171,6 @@ pub struct AnalysisEngine {
     mc_trials: usize,
     /// Seed for the Monte Carlo stage.
     pub mc_seed: u64,
-    /// Worker threads for the Monte Carlo stage (`1`, the default, runs
-    /// it on the calling thread; `0` = one per core); any value produces
-    /// identical results.
-    pub mc_threads: usize,
 }
 
 impl Clone for AnalysisEngine {
@@ -191,7 +187,6 @@ impl Clone for AnalysisEngine {
             mc_cache: self.mc_cache.clone(),
             mc_trials: self.mc_trials,
             mc_seed: self.mc_seed,
-            mc_threads: self.mc_threads,
         }
     }
 }
@@ -206,7 +201,6 @@ impl AnalysisEngine {
             mc_cache: None,
             mc_trials: 10_000,
             mc_seed: 20120402,
-            mc_threads: 1,
         })
     }
 
@@ -432,15 +426,14 @@ impl AnalysisEngine {
 
     /// Monte Carlo simulation with any of the three weight-generation
     /// classes, on the batched columnar path (see
-    /// [`maut_sense::montecarlo`]; results are seed-deterministic and
-    /// independent of [`AnalysisEngine::mc_threads`]). Stateless: always
-    /// a fresh full run.
+    /// [`maut_sense::montecarlo`]; results are seed-deterministic).
+    /// Stateless: always a fresh full run.
     pub fn monte_carlo(&self, config: MonteCarloConfig) -> MonteCarloResult {
         self.simulation(config).run_ctx(&self.ctx)
     }
 
     fn simulation(&self, config: MonteCarloConfig) -> MonteCarlo {
-        MonteCarlo::new(config, self.mc_trials, self.mc_seed).with_threads(self.mc_threads)
+        MonteCarlo::new(config, self.mc_trials, self.mc_seed)
     }
 
     /// Run the complete Section IV + V pipeline against the shared
@@ -798,15 +791,19 @@ mod tests {
 
     #[test]
     fn monte_carlo_is_thread_count_invariant() {
-        let mut a = engine();
-        let mut b = engine();
-        a.mc_threads = 1;
-        b.mc_threads = 4;
+        // One sequential run on the calling thread, equal to the scalar
+        // reference.
+        let e = engine();
+        let reference = MonteCarlo::new(
+            MonteCarloConfig::ElicitedIntervals,
+            e.mc_trials(),
+            e.mc_seed,
+        )
+        .run_scalar_ctx(e.context());
         assert_eq!(
-            a.monte_carlo(MonteCarloConfig::ElicitedIntervals)
+            e.monte_carlo(MonteCarloConfig::ElicitedIntervals)
                 .rank_counts(),
-            b.monte_carlo(MonteCarloConfig::ElicitedIntervals)
-                .rank_counts()
+            reference.rank_counts()
         );
     }
 

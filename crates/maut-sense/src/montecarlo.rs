@@ -15,18 +15,17 @@
 //!
 //! ## The hot loop
 //!
-//! [`MonteCarlo::run_ctx`] is the batched path. Weight vectors are drawn
-//! *sequentially* from the single seeded RNG into a flat sample buffer,
-//! one 4096-trial batch at a time
+//! [`MonteCarlo::run_ctx`] is the batched path, one sequential loop on
+//! the calling thread. Weight vectors are drawn from the single seeded
+//! RNG into a flat sample buffer, one 4096-trial batch at a time
 //! ([`statlab::SimplexSampler::sample_batch`], the same stream as the
 //! scalar path, draw for draw). Each batch is then scored against the
-//! columnar [`maut::BandMatrixSoA`] and ranked, optionally fanned out over
-//! [`MonteCarlo::threads`] scoped workers whose integer rank counts merge
-//! order-independently.
+//! columnar [`maut::BandMatrixSoA`] and ranked, 16 trials per block, into
+//! one rank accumulator.
 //!
-//! Up to `DENSE_RANK_MAX` (64) alternatives, ranking is a pairwise sweep with
-//! trials in the SIMD lanes, and most pairs need no sweep at all. Before
-//! any fan-out, the run certifies every pair once: one greedy block pour
+//! At every model size, ranking is a pairwise sweep with trials in the
+//! SIMD lanes, and most pairs need no sweep at all. Before the first
+//! draw, the run certifies every pair once: one greedy block pour
 //! per 16 pairs bounds `(midᵢ − midₖ)·w` over the weight polytope the
 //! draws come from (the elicited box, or the whole simplex for the other
 //! classes), widened by the sampler's `1e-9` acceptance tolerance. A pair
@@ -44,8 +43,8 @@
 //! block checks its weights against the widened box first; a block with
 //! any weight outside it, like a trailing partial block, is scored and
 //! ranked in full. Scores keep their per-trial accumulation order
-//! everywhere, so the result is **identical** for the scalar reference
-//! ([`MonteCarlo::run_scalar_ctx`]), one thread, or N threads;
+//! everywhere, so the result is **identical** to the scalar reference
+//! ([`MonteCarlo::run_scalar_ctx`]), which ranks each trial by sorting;
 //! `tests/soa_equivalence.rs` and the `windowed_kernel_matches_scalar_reference`
 //! property lock that down differentially.
 //!
@@ -65,29 +64,19 @@
 
 use maut::soa::BandMatrixSoA;
 use maut::weights::AttributeWeights;
-use maut::{par, EvalContext};
+use maut::EvalContext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use simplex_lp::{GreedyScratch, WeightPolytope, POUR_LANES};
 use statlab::{
-    Boxplot, MultipleBoxplot, PairOrder, RankAccumulator, RankScratch, RankStats, RankWindows,
-    SimplexSampler, WeightScheme,
+    Boxplot, MultipleBoxplot, PairOrder, RankAccumulator, RankStats, RankWindows, SimplexSampler,
+    WeightScheme,
 };
 
 /// Trials per sample batch: bounds buffer memory (a batch holds
 /// `BATCH_TRIALS × n_attrs` weights) while amortizing per-batch setup.
 const BATCH_TRIALS: usize = 4096;
-
-/// Minimum trials each scoped worker must receive before the fan-out pays
-/// for the spawns.
-const PAR_MIN_TRIALS: usize = 512;
-
-/// Up to this many alternatives, scoring and ranking run on the blocked
-/// transposed kernels (trials in the SIMD lanes, O(n²)-per-trial rank
-/// counting); beyond it the per-trial sorting path wins. Both produce
-/// identical rank counts.
-const DENSE_RANK_MAX: usize = 64;
 
 /// Trials per transposed sub-block — exactly the width of the
 /// register-blocked kernels ([`maut::soa::SCORE_LANES`] /
@@ -210,7 +199,7 @@ impl MonteCarloResult {
 
     /// The raw ranking-frequency matrix: `rank_counts()[alt][rank-1]` =
     /// number of trials where `alt` took `rank`. The differential tests
-    /// compare this exactly across the scalar / batched / threaded paths.
+    /// compare this exactly between the scalar and batched paths.
     pub fn rank_counts(&self) -> &[Vec<usize>] {
         self.accumulator.counts()
     }
@@ -242,30 +231,18 @@ pub struct MonteCarlo {
     pub trials: usize,
     /// RNG seed (results are a pure function of config + trials + seed).
     pub seed: u64,
-    /// Scoring workers for [`MonteCarlo::run_ctx`]: `0` = one per core,
-    /// `1` = single-threaded. Any value yields identical results — weight
-    /// generation stays on one sequential RNG stream and the per-worker
-    /// rank counts merge order-independently.
-    pub threads: usize,
 }
 
 impl MonteCarlo {
-    /// A simulation with one scoring worker per core (`threads: 0`; see
-    /// [`MonteCarlo::with_threads`]); panics on zero trials.
+    /// A simulation of `trials` weight draws from `seed`; panics on zero
+    /// trials.
     pub fn new(config: MonteCarloConfig, trials: usize, seed: u64) -> MonteCarlo {
         assert!(trials > 0, "need at least one trial");
         MonteCarlo {
             config,
             trials,
             seed,
-            threads: 0,
         }
-    }
-
-    /// Builder-style worker-count override (see the `threads` field).
-    pub fn with_threads(mut self, threads: usize) -> MonteCarlo {
-        self.threads = threads;
-        self
     }
 
     /// The paper's headline run: 10 000 trials within elicited intervals.
@@ -315,10 +292,9 @@ impl MonteCarlo {
 
     /// Run the simulation against a shared evaluation context — the batched
     /// hot path: sequential weight generation into a flat sample buffer,
-    /// columnar scoring against [`EvalContext::soa`], scratch-reusing rank
-    /// accumulation, and an optional scoped-thread fan-out (see
-    /// [`MonteCarlo::threads`]). Produces exactly the same result as
-    /// [`MonteCarlo::run_scalar_ctx`] for any worker count.
+    /// columnar scoring against [`EvalContext::soa`] and windowed rank
+    /// counting (see the module docs). Produces exactly the same result as
+    /// [`MonteCarlo::run_scalar_ctx`].
     pub fn run_ctx(&self, ctx: &EvalContext) -> MonteCarloResult {
         self.rerun_ctx(ctx, &mut None)
     }
@@ -337,11 +313,6 @@ impl MonteCarlo {
         let soa = ctx.soa();
         let names = &ctx.model().alternatives;
         let n = soa.n_alternatives();
-        if n > DENSE_RANK_MAX {
-            *cache = None;
-            let (acc, _) = self.record(ctx, None);
-            return MonteCarloResult::new(self.trials, acc);
-        }
         let (lows, upps) = (ctx.weights().lows(), ctx.weights().upps());
         let (lower, upper) = self.widened_box(ctx.weights());
         let previous = cache.take().filter(|c| {
@@ -389,7 +360,7 @@ impl MonteCarlo {
             }
         };
         let kernel = WindowKernel::new(soa, &c.rel, &recount, lower, upper);
-        let (mut acc, in_box) = self.record(ctx, Some(&kernel));
+        let (mut acc, in_box) = self.record(ctx, &kernel);
         if let Some(kept) = &kept {
             for alt in (0..n).filter(|&alt| !recount[alt]) {
                 acc.copy_row(&kept.accumulator, alt);
@@ -404,45 +375,26 @@ impl MonteCarlo {
         result
     }
 
-    /// Draw every trial and rank it into one accumulator: through
-    /// `kernel` up to [`DENSE_RANK_MAX`] alternatives, by sorting beyond.
-    /// Also reports whether every draw lay in the kernel's box.
-    fn record(&self, ctx: &EvalContext, kernel: Option<&WindowKernel>) -> (RankAccumulator, bool) {
-        let n_attrs = ctx.model().num_attributes();
-        let sampler = self.sampler(n_attrs, ctx.weights());
+    /// Draw every trial, one [`BATCH_TRIALS`] batch at a time, and rank
+    /// it through `kernel` into one accumulator. Also reports whether
+    /// every draw lay in the kernel's box.
+    fn record(&self, ctx: &EvalContext, kernel: &WindowKernel) -> (RankAccumulator, bool) {
         let soa = ctx.soa();
-        let names = &ctx.model().alternatives;
-        let n_alts = soa.n_alternatives();
+        let (n, m) = (soa.n_alternatives(), soa.n_attributes());
+        let sampler = self.sampler(m, ctx.weights());
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut acc = RankAccumulator::new(names.clone());
+        let mut acc = RankAccumulator::new(ctx.model().alternatives.clone());
+        let mut samples = vec![0.0; BATCH_TRIALS.min(self.trials) * m];
+        let mut samples_t = vec![0.0; BLOCK_TRIALS * m];
+        let mut scores_t = vec![0.0; BLOCK_TRIALS * n];
         let mut in_box = true;
-        let mut samples = vec![0.0; BATCH_TRIALS.min(self.trials) * n_attrs];
         let mut done = 0usize;
         while done < self.trials {
             let batch = BATCH_TRIALS.min(self.trials - done);
-            let samples = &mut samples[..batch * n_attrs];
+            let samples = &mut samples[..batch * m];
             sampler.sample_batch(&mut rng, samples);
-            let samples = &*samples;
-            let parts = par::map_ranges(batch, self.threads, PAR_MIN_TRIALS, |range| {
-                let mut local = RankAccumulator::new(names.clone());
-                let worker = &samples[range.start * n_attrs..range.end * n_attrs];
-                let inside = match kernel {
-                    Some(kernel) => kernel.record(soa, worker, &mut local),
-                    None => {
-                        let mut scores = vec![0.0; n_alts];
-                        let mut scratch = RankScratch::default();
-                        for sample in worker.chunks_exact(n_attrs) {
-                            soa.score_into(sample, &mut scores);
-                            local.record_scores_with(&scores, &mut scratch);
-                        }
-                        false
-                    }
-                };
-                (local, inside)
-            });
-            for (part, inside) in &parts {
-                acc.merge(part);
-                in_box &= inside;
+            for chunk in samples.chunks(BLOCK_TRIALS * m) {
+                in_box &= kernel.record_block(soa, chunk, &mut samples_t, &mut scores_t, &mut acc);
             }
             done += batch;
         }
@@ -519,10 +471,10 @@ pub struct MonteCarloCache {
     result: MonteCarloResult,
 }
 
-/// The dense-model kernel of [`MonteCarlo::run_ctx`] (up to
-/// [`DENSE_RANK_MAX`] alternatives): the run's pair certificate as
-/// [`RankWindows`] over the alternatives it counts, the midpoint rows in
-/// window position order, and the box the certificate holds in.
+/// The rank kernel of [`MonteCarlo::run_ctx`]: the run's pair
+/// certificate as [`RankWindows`] over the alternatives it counts, the
+/// midpoint rows in window position order, and the box the certificate
+/// holds in.
 struct WindowKernel {
     windows: RankWindows,
     /// `rows[p·m + j]`: midpoint utility of the alternative at position
@@ -556,31 +508,33 @@ impl WindowKernel {
         }
     }
 
-    /// Rank the trials of `samples` (row-major, one weight vector per
-    /// trial) into `acc`, and report whether every weight lay in the box.
-    /// Full blocks whose weights all lie in the box go through the
-    /// windows; a trailing partial block, or a block holding a fallback
-    /// draw outside the box, is scored and ranked in full.
-    fn record(&self, soa: &BandMatrixSoA, samples: &[f64], acc: &mut RankAccumulator) -> bool {
-        let (n, m) = (soa.n_alternatives(), soa.n_attributes());
-        let mut samples_t = vec![0.0; BLOCK_TRIALS * m];
-        let mut scores_t = vec![0.0; BLOCK_TRIALS * n];
-        let mut all_inside = true;
-        for chunk in samples.chunks(BLOCK_TRIALS * m) {
-            let block = chunk.len() / m;
-            let samples_t = &mut samples_t[..block * m];
-            let inside = transpose_in_box(chunk, &self.lower, &self.upper, samples_t);
-            all_inside &= inside;
-            if inside && block == BLOCK_TRIALS {
-                score_positions(&self.rows, self.windows.scored(), samples_t, &mut scores_t);
-                acc.record_windows_16(&scores_t, &self.windows);
-            } else {
-                let scores_t = &mut scores_t[..block * n];
-                soa.score_block_transposed(samples_t, block, scores_t);
-                acc.record_scores_transposed(scores_t, block);
-            }
+    /// Rank one block of at most [`BLOCK_TRIALS`] trials (`chunk`,
+    /// row-major, one weight vector per trial) into `acc`, transposing it
+    /// into `samples_t` and scoring into `scores_t`, and report whether
+    /// every weight lay in the box. A full block whose weights all lie in
+    /// the box goes through the windows; a trailing partial block, or a
+    /// block holding a fallback draw outside the box, is scored and ranked
+    /// in full.
+    fn record_block(
+        &self,
+        soa: &BandMatrixSoA,
+        chunk: &[f64],
+        samples_t: &mut [f64],
+        scores_t: &mut [f64],
+        acc: &mut RankAccumulator,
+    ) -> bool {
+        let block = chunk.len() / self.lower.len();
+        let samples_t = &mut samples_t[..chunk.len()];
+        let inside = transpose_in_box(chunk, &self.lower, &self.upper, samples_t);
+        if inside && block == BLOCK_TRIALS {
+            score_positions(&self.rows, self.windows.scored(), samples_t, scores_t);
+            acc.record_windows_16(scores_t, &self.windows);
+        } else {
+            let scores_t = &mut scores_t[..block * soa.n_alternatives()];
+            soa.score_block_transposed(samples_t, block, scores_t);
+            acc.record_scores_transposed(scores_t, block);
         }
-        all_inside
+        inside
     }
 }
 
@@ -892,7 +846,7 @@ mod tests {
             MonteCarloConfig::PartialRankOrder(vec![vec![0, 1]]),
             MonteCarloConfig::ElicitedIntervals,
         ] {
-            let mc = MonteCarlo::new(config, 700, 42).with_threads(1);
+            let mc = MonteCarlo::new(config, 700, 42);
             let scalar = mc.run_scalar_ctx(&c);
             let batched = mc.run_ctx(&c);
             assert_eq!(scalar.rank_counts(), batched.rank_counts());
@@ -902,22 +856,15 @@ mod tests {
 
     #[test]
     fn same_seed_same_ranking_frequency_matrix_across_thread_counts() {
-        // The deterministic-RNG guarantee: one sequential sample stream,
-        // order-independent count merges — so 1, 2, 8 or auto workers (and
-        // batch boundaries in between) all reproduce the same matrix.
+        // The deterministic-RNG guarantee: one sequential sample stream on
+        // the calling thread, so the batched run reproduces the scalar
+        // reference's matrix whatever thread it runs on.
         let c = ctx(&model());
         let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 1500, 77);
-        let reference = mc.clone().with_threads(1).run_ctx(&c);
-        assert_eq!(reference.rank_counts(), mc.run_scalar_ctx(&c).rank_counts());
-        for threads in [0, 2, 3, 8] {
-            let run = mc.clone().with_threads(threads).run_ctx(&c);
-            assert_eq!(
-                reference.rank_counts(),
-                run.rank_counts(),
-                "{threads} threads"
-            );
-            assert_eq!(reference.mean_ranks(), run.mean_ranks());
-        }
+        let run = mc.run_ctx(&c);
+        let reference = mc.run_scalar_ctx(&c);
+        assert_eq!(reference.rank_counts(), run.rank_counts());
+        assert_eq!(reference.mean_ranks(), run.mean_ranks());
     }
 
     #[test]
@@ -929,33 +876,27 @@ mod tests {
     }
 
     #[test]
-    fn wide_models_take_the_sorting_branch_and_still_agree() {
-        // More alternatives than DENSE_RANK_MAX: run_ctx switches to the
-        // per-trial sorting path, which must match the scalar reference
-        // exactly too (and across thread counts).
+    fn seventy_alternative_model_matches_scalar_reference() {
+        // Past the 64 alternatives above which ranking once took a
+        // per-trial sort: the windowed kernel serves every size and must
+        // match the scalar reference exactly there too.
         let mut b = DecisionModelBuilder::new("wide");
         let x = b.discrete_attribute("x", "X", &["0", "1", "2", "3"]);
         let y = b.discrete_attribute("y", "Y", &["0", "1", "2", "3"]);
         b.attach_attributes_to_root(&[(x, Interval::new(0.3, 0.7)), (y, Interval::new(0.3, 0.7))]);
-        for i in 0..(DENSE_RANK_MAX + 6) {
+        for i in 0..70 {
             b.alternative(
                 format!("a{i:03}"),
                 vec![Perf::level(i % 4), Perf::level((i / 4) % 4)],
             );
         }
         let c = EvalContext::new(b.build().unwrap()).unwrap();
-        // Enough trials that a multi-worker request actually fans out
-        // (PAR_MIN_TRIALS per worker) on the sorting branch.
-        let mc = MonteCarlo::new(MonteCarloConfig::Random, 2 * PAR_MIN_TRIALS + 100, 5);
-        let scalar = mc.run_scalar_ctx(&c);
-        for threads in [1usize, 4] {
-            let batched = mc.clone().with_threads(threads).run_ctx(&c);
-            assert_eq!(
-                scalar.rank_counts(),
-                batched.rank_counts(),
-                "{threads} threads"
-            );
-        }
+        // A trial count that leaves a partial 16-trial block.
+        let mc = MonteCarlo::new(MonteCarloConfig::Random, 1124, 5);
+        assert_eq!(
+            mc.run_scalar_ctx(&c).rank_counts(),
+            mc.run_ctx(&c).rank_counts()
+        );
     }
 
     #[test]

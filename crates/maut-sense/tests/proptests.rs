@@ -236,15 +236,14 @@ proptest! {
     /// exactly the ranks of the scalar reference: on tie-heavy models,
     /// under every weight box of [`kernel_model`] (including `1e-10`-wide
     /// boxes and boxes whose every draw is a fallback outside the box),
-    /// under all four simulation classes, with alternative counts on both
-    /// sides of the dense-kernel limit, trial counts that are not a
-    /// multiple of the 16-trial block, and one to three workers.
+    /// under all four simulation classes, with 1–80 alternatives and
+    /// trial counts that are not a multiple of the 16-trial block.
     #[test]
     fn windowed_kernel_matches_scalar_reference(
         shape in (1usize..6, 1usize..81, 2usize..6),
-        run in (1usize..300, 1usize..4, 0u64..1_000_000),
+        run in (1usize..300, 0u64..1_000_000),
     ) {
-        let ((n_attrs, n_alts, levels), (trials, threads, seed)) = (shape, run);
+        let ((n_attrs, n_alts, levels), (trials, seed)) = (shape, run);
         // Every box under the elicited-interval class, which samples it;
         // the other three classes sample the whole simplex, so one box
         // serves them.
@@ -253,7 +252,7 @@ proptest! {
             let model = kernel_model(n_attrs, n_alts, levels, box_kind, seed);
             let c = ctx(&model);
             let config = kernel_config(config_kind, n_attrs, seed);
-            let mc = MonteCarlo::new(config, trials, seed).with_threads(threads);
+            let mc = MonteCarlo::new(config, trials, seed);
             let reference = mc.run_scalar_ctx(&c);
             let batched = mc.run_ctx(&c);
             prop_assert_eq!(
@@ -393,17 +392,16 @@ proptest! {
     /// sequences of reruns with zero to three `set_perf` edits before
     /// each (no-op edits and edits back to an earlier level among them),
     /// a `set_weight` in mid-sequence, on the paper, assessment, Flat,
-    /// Deep and NearDegenerate models and tie-heavy models of 2–64
+    /// Deep and NearDegenerate models and tie-heavy models of 2–96
     /// alternatives (fallback-forcing boxes included), for 1–299 and
-    /// 10 000 trials, one to three workers and all four simulation
-    /// classes.
+    /// 10 000 trials and all four simulation classes.
     #[test]
     fn incremental_monte_carlo_matches_fresh_run(
-        shape in (0usize..7, 2usize..65, 1usize..11),
-        run in (1usize..300, 0usize..5, 1usize..4, 0usize..4),
+        shape in (0usize..7, 2usize..97, 1usize..11),
+        run in (1usize..300, 0usize..5, 0usize..4),
         plan in (1usize..7, 0usize..8, 0u64..1_000_000),
     ) {
-        let ((kind, n_alts, n_attrs), (trials, long, threads, class)) = (shape, run);
+        let ((kind, n_alts, n_attrs), (trials, long, class)) = (shape, run);
         let (steps, weight_step, seed) = plan;
         let trials = if long == 0 { 10_000 } else { trials };
         // The fallback box only leaves its draws outside under the
@@ -422,7 +420,7 @@ proptest! {
             })
             .collect();
         let mut c = ctx(&model);
-        let mc = MonteCarlo::new(kernel_config(class, m, seed), trials, seed).with_threads(threads);
+        let mc = MonteCarlo::new(kernel_config(class, m, seed), trials, seed);
         let mut cache = None;
         let mut state = seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1;
         let mut next = move |bound: usize| {

@@ -76,7 +76,6 @@ pub mod group;
 pub mod hierarchy;
 pub mod interval;
 pub mod model;
-pub mod par;
 pub mod perf;
 pub mod scale;
 pub mod soa;

@@ -119,23 +119,15 @@ impl BandMatrixSoA {
     }
 
     /// Score every alternative against one flat weight vector over band
-    /// midpoints, writing into `out` (len `n_alternatives`). The Monte
-    /// Carlo inner kernel: one unit-stride pass per attribute.
-    pub fn score_into(&self, flat_weights: &[f64], out: &mut [f64]) {
+    /// midpoints: one unit-stride pass per attribute.
+    pub fn score(&self, flat_weights: &[f64]) -> Vec<f64> {
         assert_eq!(flat_weights.len(), self.n_attrs, "weight vector arity");
-        assert_eq!(out.len(), self.n_alts, "score buffer arity");
-        out.fill(0.0);
+        let mut out = vec![0.0; self.n_alts];
         for (j, &w) in flat_weights.iter().enumerate() {
             for (s, &u) in out.iter_mut().zip(self.mid_col(j)) {
                 *s += w * u;
             }
         }
-    }
-
-    /// Allocating convenience wrapper over [`BandMatrixSoA::score_into`].
-    pub fn score(&self, flat_weights: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_alts];
-        self.score_into(flat_weights, &mut out);
         out
     }
 
@@ -149,7 +141,7 @@ impl BandMatrixSoA {
     /// multiply-accumulate over a contiguous run of trials — and because
     /// every trial's score still accumulates over attributes in ascending
     /// index order, the result is bit-identical to
-    /// [`BandMatrixSoA::score_into`] per trial.
+    /// [`BandMatrixSoA::score`] per trial.
     pub fn score_block_transposed(&self, samples_t: &[f64], block: usize, out_t: &mut [f64]) {
         assert_eq!(samples_t.len(), block * self.n_attrs, "sample block arity");
         assert_eq!(out_t.len(), block * self.n_alts, "score block arity");
@@ -284,7 +276,7 @@ mod tests {
     #[test]
     fn transposed_block_scoring_matches_per_sample_scoring() {
         // Both the register-blocked 16-lane path and the dynamic
-        // remainder path must agree bit-for-bit with score_into.
+        // remainder path must agree bit-for-bit with score.
         let c = ctx();
         let soa = c.soa();
         let (n_attrs, n_alts) = (soa.n_attributes(), soa.n_alternatives());

@@ -25,7 +25,7 @@ pub use boxplot::{Boxplot, MultipleBoxplot};
 pub use convergence::ConvergenceTracker;
 pub use describe::{describe_counts, percentile, Describe};
 pub use rank::{
-    kendall_tau, rank_vector, rank_vector_with, spearman_rho, PairOrder, RankAccumulator,
-    RankScratch, RankStats, RankWindows, TieBreak, RANK_LANES,
+    kendall_tau, rank_vector, spearman_rho, PairOrder, RankAccumulator, RankStats, RankWindows,
+    TieBreak, RANK_LANES,
 };
 pub use sampling::{uniform_simplex, uniform_simplex_into, SimplexSampler, WeightScheme};

@@ -160,31 +160,8 @@ pub enum TieBreak {
 /// Rank a score vector, rank 1 = highest score. Returns fractional ranks for
 /// `TieBreak::Average`.
 pub fn rank_vector(scores: &[f64], ties: TieBreak) -> Vec<f64> {
-    let mut scratch = RankScratch::default();
-    rank_vector_with(scores, ties, &mut scratch);
-    std::mem::take(&mut scratch.ranks)
-}
-
-/// Reusable buffers for [`rank_vector_with`] / repeated score recording —
-/// the Monte Carlo hot loop ranks tens of thousands of score vectors and
-/// must not allocate per trial.
-#[derive(Debug, Clone, Default)]
-pub struct RankScratch {
-    order: Vec<usize>,
-    ranks: Vec<f64>,
-}
-
-/// [`rank_vector`] into reusable scratch buffers; the computed ranks live
-/// in the returned slice (backed by `scratch.ranks`).
-pub fn rank_vector_with<'s>(
-    scores: &[f64],
-    ties: TieBreak,
-    scratch: &'s mut RankScratch,
-) -> &'s [f64] {
     let n = scores.len();
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(0..n);
+    let mut order: Vec<usize> = (0..n).collect();
     // Descending by score; NaNs sink to the end deterministically. A bare
     // descending `total_cmp` would rank +NaN above +inf, so NaN keys
     // collapse to -inf first; index order breaks remaining ties.
@@ -197,9 +174,7 @@ pub fn rank_vector_with<'s>(
         }
     };
     order.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
-    let ranks = &mut scratch.ranks;
-    ranks.clear();
-    ranks.resize(n, 0.0);
+    let mut ranks = vec![0.0; n];
     let mut i = 0usize;
     while i < n {
         // NaN != NaN, so each NaN is its own singleton group (the j = i + 1
@@ -390,19 +365,12 @@ impl RankAccumulator {
 
     /// Record one trial's score vector (higher score = better rank).
     pub fn record_scores(&mut self, scores: &[f64]) {
-        let mut scratch = RankScratch::default();
-        self.record_scores_with(scores, &mut scratch);
-    }
-
-    /// [`RankAccumulator::record_scores`] with caller-owned scratch buffers
-    /// — identical counts, no per-trial allocation.
-    pub fn record_scores_with(&mut self, scores: &[f64], scratch: &mut RankScratch) {
         assert_eq!(
             scores.len(),
             self.labels.len(),
             "score vector length mismatch"
         );
-        let ranks = rank_vector_with(scores, TieBreak::Min, scratch);
+        let ranks = rank_vector(scores, TieBreak::Min);
         for (alt, &r) in ranks.iter().enumerate() {
             let r = r as usize;
             debug_assert!((1..=self.labels.len()).contains(&r));
@@ -488,17 +456,31 @@ impl RankAccumulator {
         let (rows, _) = scores_t.as_chunks::<T>();
         for s in &plan.sweeps {
             let own = rows[s.pos];
-            let mut acc = [s.base as f64; T];
-            for &(lo, hi) in &s.spans {
-                for rival in &rows[lo..hi] {
-                    for ((a, &sk), &si) in acc.iter_mut().zip(rival).zip(&own) {
-                        *a += if sk > si { 1.0 } else { 0.0 };
+            // Even and odd rivals go to separate tallies, so consecutive
+            // compares feed independent add chains, and the conditional
+            // add compiles to one masked add. Tallies are small integers,
+            // exact in f64, so the split does not change their sum.
+            let tally = |acc: &mut [f64; T], rival: &[f64; T]| {
+                for ((a, &sk), &si) in acc.iter_mut().zip(rival).zip(&own) {
+                    if sk > si {
+                        *a += 1.0;
                     }
+                }
+            };
+            let (mut even, mut odd) = ([s.base as f64; T], [0.0f64; T]);
+            for &(lo, hi) in &s.spans {
+                let (twos, rest) = rows[lo..hi].as_chunks::<2>();
+                for [first, second] in twos {
+                    tally(&mut even, first);
+                    tally(&mut odd, second);
+                }
+                for rival in rest {
+                    tally(&mut even, rival);
                 }
             }
             let row = &mut self.counts[s.alt];
-            for &b in &acc {
-                row[b as usize] += 1;
+            for (&e, &o) in even.iter().zip(&odd) {
+                row[(e + o) as usize] += 1;
             }
         }
         for &(alt, rank0) in &plan.fixed {
@@ -513,19 +495,6 @@ impl RankAccumulator {
     pub fn copy_row(&mut self, other: &RankAccumulator, alt: usize) {
         assert_eq!(self.labels.len(), other.labels.len(), "accumulator arity");
         self.counts[alt].copy_from_slice(&other.counts[alt]);
-    }
-
-    /// Fold another accumulator's counts into this one (same label set).
-    /// Integer counts make the fold order-independent, so parallel Monte
-    /// Carlo workers merge deterministically whatever the thread count.
-    pub fn merge(&mut self, other: &RankAccumulator) {
-        assert_eq!(self.labels, other.labels, "accumulator label mismatch");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                *m += t;
-            }
-        }
-        self.trials += other.trials;
     }
 
     /// The raw ranking-frequency matrix: `counts()[alt][rank-1]` = number
@@ -828,54 +797,6 @@ mod tests {
         assert_eq!(partial.counts()[1], dense.counts()[1]);
         partial.copy_row(&dense, 0);
         assert_eq!(partial.counts()[0], dense.counts()[0]);
-    }
-
-    #[test]
-    fn scratch_recording_matches_allocating_path() {
-        let mut a = RankAccumulator::new(vec!["x".into(), "y".into(), "z".into()]);
-        let mut b = a.clone();
-        let mut scratch = RankScratch::default();
-        let trials = [[0.9, 0.5, 0.1], [0.2, 0.2, 0.9], [0.5, 0.5, 0.5]];
-        for t in &trials {
-            a.record_scores(t);
-            b.record_scores_with(t, &mut scratch);
-        }
-        assert_eq!(a.counts(), b.counts());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn merge_is_order_independent_and_sums_trials() {
-        let labels = vec!["x".to_string(), "y".to_string()];
-        let mut whole = RankAccumulator::new(labels.clone());
-        let mut left = RankAccumulator::new(labels.clone());
-        let mut right = RankAccumulator::new(labels.clone());
-        for (k, t) in [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.3, 0.9]]
-            .iter()
-            .enumerate()
-        {
-            whole.record_scores(t);
-            if k < 2 {
-                left.record_scores(t);
-            } else {
-                right.record_scores(t);
-            }
-        }
-        let mut lr = left.clone();
-        lr.merge(&right);
-        let mut rl = right.clone();
-        rl.merge(&left);
-        assert_eq!(lr.counts(), whole.counts());
-        assert_eq!(rl.counts(), whole.counts());
-        assert_eq!(lr.trials(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "label mismatch")]
-    fn merge_rejects_different_label_sets() {
-        let mut a = RankAccumulator::new(vec!["x".into()]);
-        let b = RankAccumulator::new(vec!["y".into()]);
-        a.merge(&b);
     }
 
     #[test]

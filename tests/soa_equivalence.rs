@@ -8,8 +8,7 @@
 //!
 //! * SoA batch evaluation vs the scalar per-row evaluation;
 //! * Monte Carlo rank counts and acceptance fractions under a fixed seed,
-//!   scalar loop vs batched SoA vs the scoped-thread fan-out (1 vs N
-//!   workers, the one analysis that takes a thread count);
+//!   scalar loop vs batched SoA;
 //! * dominance matrices, dominance intervals and potential-optimality
 //!   verdicts vs in-test row-major reference implementations (the
 //!   pre-blocked-sweep logic, rebuilt here so they share no code with the
@@ -224,7 +223,7 @@ fn check_case(seed: u64, max_alts: usize, max_attrs: usize, trials: usize, with_
         assert_bounds_close(&batch[pos], &full.bounds[alt], "batch vs evaluate");
     }
 
-    // Monte Carlo: scalar loop vs batched SoA vs threaded fan-out.
+    // Monte Carlo: scalar loop vs batched SoA.
     let config = match seed % 3 {
         0 => MonteCarloConfig::Random,
         1 => MonteCarloConfig::ElicitedIntervals,
@@ -232,21 +231,19 @@ fn check_case(seed: u64, max_alts: usize, max_attrs: usize, trials: usize, with_
     };
     let mc = MonteCarlo::new(config, trials, seed ^ 0xD1FF);
     let scalar = mc.run_scalar_ctx(&ctx);
-    for threads in [1usize, 4] {
-        let batched = mc.clone().with_threads(threads).run_ctx(&ctx);
-        assert_eq!(
-            scalar.rank_counts(),
-            batched.rank_counts(),
-            "rank counts, seed {seed}, {threads} threads"
-        );
-        for alt in 0..n {
-            for rank in 1..=n {
-                assert!(
-                    (scalar.acceptability(alt, rank) - batched.acceptability(alt, rank)).abs()
-                        <= ORDERING_EPS,
-                    "acceptance fraction, seed {seed}"
-                );
-            }
+    let batched = mc.run_ctx(&ctx);
+    assert_eq!(
+        scalar.rank_counts(),
+        batched.rank_counts(),
+        "rank counts, seed {seed}"
+    );
+    for alt in 0..n {
+        for rank in 1..=n {
+            assert!(
+                (scalar.acceptability(alt, rank) - batched.acceptability(alt, rank)).abs()
+                    <= ORDERING_EPS,
+                "acceptance fraction, seed {seed}"
+            );
         }
     }
 
@@ -647,11 +644,9 @@ fn paper_model_scalar_and_batched_agree_across_threads() {
     let ctx = EvalContext::new(neon_reuse::paper_model().model).expect("valid");
     let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 2_000, 20120402);
     let scalar = mc.run_scalar_ctx(&ctx);
-    for threads in [1usize, 2, 8, 0] {
-        let run = mc.clone().with_threads(threads).run_ctx(&ctx);
-        assert_eq!(scalar.rank_counts(), run.rank_counts(), "{threads} threads");
-        assert_eq!(scalar.mean_ranks(), run.mean_ranks());
-    }
+    let run = mc.run_ctx(&ctx);
+    assert_eq!(scalar.rank_counts(), run.rank_counts());
+    assert_eq!(scalar.mean_ranks(), run.mean_ranks());
 }
 
 #[test]

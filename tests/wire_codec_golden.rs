@@ -125,7 +125,6 @@ fn snapshot() -> SessionSnapshot {
             mc_trials: 300,
             // Past 2^53: the integer travels exactly.
             mc_seed: u64::MAX,
-            mc_threads: 1,
         },
     }
 }
