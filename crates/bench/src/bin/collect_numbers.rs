@@ -43,6 +43,10 @@
 //!   ontolib assessment corpus) through one manager under a skewed mix,
 //!   with exact per-kind accounting asserted and per-shard busy-time /
 //!   mean-service-time reported;
+//! * **montecarlo_rerun** — the `Analyze` path's 10 000-trial Monte
+//!   Carlo rerun after one `set_perf` (recount plus replay of the kept
+//!   draws) against a fresh run, interleaved, on the paper model and
+//!   NearDegenerate 40×10;
 //! * **wire_codec** — encode and decode time of two served replies (the
 //!   paper's `Analysis` and the Mixed 300×12 `Cycle`) through the
 //!   compact JSON codec, with their sizes;
@@ -718,6 +722,71 @@ fn wire_codec_bench() -> String {
     )
 }
 
+/// The `Analyze` path's Monte Carlo rerun against a fresh run, at the
+/// paper's 10 000 elicited-interval trials, on the paper model (Kanzaki
+/// Music's documentation flipping between levels 2 and 3) and on
+/// NearDegenerate 40×10 (generator seed 7; `alt-0000`'s `d0` flipping
+/// between levels 1 and 2). Each round times one fresh `run_ctx`, then
+/// one edit and the `rerun_ctx` after it, which recounts the
+/// alternatives the edit can reorder and replays the kept draws from the
+/// sampler's attempt log; each side reports its fastest of 15 rounds.
+/// Every rerun is first checked against a fresh run.
+fn montecarlo_rerun_bench() -> String {
+    let paper = bench::paper();
+    let doc = paper.find_attribute("doc_quality").expect("exists");
+    let kanzaki = paper
+        .alternatives
+        .iter()
+        .position(|a| a == "Kanzaki Music")
+        .expect("present");
+    let near = gmaa_gen::generate(&gmaa_gen::GenConfig::preset(
+        gmaa_gen::Family::NearDegenerate,
+        40,
+        10,
+        7,
+    ));
+    let d0 = near.find_attribute("d0").expect("exists");
+    let points = [
+        ("paper 23x14", paper, kanzaki, doc, [2, 3]),
+        ("near-degenerate 40x10", near, 0, d0, [1, 2]),
+    ];
+    let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402);
+    let rows: Vec<String> = points
+        .into_iter()
+        .map(|(name, model, alt, attr, levels)| {
+            let mut ctx = EvalContext::new(model).expect("valid");
+            let mut cache = None;
+            mc.rerun_ctx(&ctx, &mut cache);
+            for level in levels {
+                ctx.set_perf(alt, attr, Perf::level(level)).expect("valid");
+                assert_eq!(
+                    mc.rerun_ctx(&ctx, &mut cache).rank_counts(),
+                    mc.run_ctx(&ctx).rank_counts(),
+                    "{name}: rerun != fresh run"
+                );
+            }
+            let (mut fresh_ns, mut rerun_ns) = (f64::INFINITY, f64::INFINITY);
+            for round in 0..15 {
+                let start = Instant::now();
+                std::hint::black_box(mc.run_ctx(&ctx));
+                fresh_ns = fresh_ns.min(start.elapsed().as_nanos() as f64);
+                ctx.set_perf(alt, attr, Perf::level(levels[round % 2]))
+                    .expect("valid");
+                let start = Instant::now();
+                std::hint::black_box(mc.rerun_ctx(&ctx, &mut cache));
+                rerun_ns = rerun_ns.min(start.elapsed().as_nanos() as f64);
+            }
+            format!(
+                "    {{ \"model\": \"{name}\", \"fresh_us\": {:.1}, \"rerun_us\": {:.1}, \"speedup_rerun_vs_fresh\": {:.2} }}",
+                fresh_ns / 1e3,
+                rerun_ns / 1e3,
+                fresh_ns / rerun_ns
+            )
+        })
+        .collect();
+    format!("  \"montecarlo_rerun\": [\n{}\n  ]", rows.join(",\n"))
+}
+
 /// One `(family, n, m)` point of the scaling sweep: cold / warm /
 /// incremental discard-cycle timings, the LP solve, warm-share and step
 /// counters behind the warm numbers, and a 10 000-trial Monte Carlo run —
@@ -1118,7 +1187,8 @@ fn main() {
     // fixed-seed CI grid; every other section is unaffected.
     let smoke = std::env::args().any(|a| a == "--scaling-smoke");
     let serving = format!(
-        "{},\n{},\n{},\n{},\n{},\n{}",
+        "{},\n{},\n{},\n{},\n{},\n{},\n{}",
+        montecarlo_rerun_bench(),
         wire_codec_bench(),
         serving_bench(),
         serving_durable_bench(),

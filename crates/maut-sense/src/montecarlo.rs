@@ -61,6 +61,15 @@
 //! recounts every alternative, so both go through the one kernel; the
 //! `incremental_monte_carlo_matches_fresh_run` property checks rerun ≡
 //! fresh run.
+//!
+//! A run of the elicited-interval class also logs which rejection-sampler
+//! attempts it kept ([`statlab::AttemptLog`], one bit per attempt), and
+//! the cache keeps that log while it fits in one byte per trial. A
+//! recount then replays the kept draws from it
+//! ([`statlab::SimplexSampler::replay_batch`]): a rejected attempt only
+//! steps the generator, and a kept one repeats the draw's float
+//! operations without the box test, so the weights are bit-identical to
+//! the sampled ones at about half the cost.
 
 use maut::soa::BandMatrixSoA;
 use maut::weights::AttributeWeights;
@@ -70,8 +79,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use simplex_lp::{GreedyScratch, WeightPolytope, POUR_LANES};
 use statlab::{
-    Boxplot, MultipleBoxplot, PairOrder, RankAccumulator, RankStats, RankWindows, SimplexSampler,
-    WeightScheme,
+    AttemptLog, Boxplot, MultipleBoxplot, PairOrder, RankAccumulator, RankStats, RankWindows,
+    SimplexSampler, WeightScheme,
 };
 
 /// Trials per sample batch: bounds buffer memory (a batch holds
@@ -355,12 +364,16 @@ impl MonteCarlo {
                         .flat_map(|j| soa.mid_col(j).iter().copied())
                         .collect(),
                     rel,
+                    log: None,
                     result: MonteCarloResult::empty(),
                 }
             }
         };
         let kernel = WindowKernel::new(soa, &c.rel, &recount, lower, upper);
-        let (mut acc, in_box) = self.record(ctx, &kernel);
+        let (mut acc, in_box, logged) = self.record(ctx, &kernel, c.log.as_ref());
+        if c.log.is_none() {
+            c.log = logged.finish();
+        }
         if let Some(kept) = &kept {
             for alt in (0..n).filter(|&alt| !recount[alt]) {
                 acc.copy_row(&kept.accumulator, alt);
@@ -377,8 +390,15 @@ impl MonteCarlo {
 
     /// Draw every trial, one [`BATCH_TRIALS`] batch at a time, and rank
     /// it through `kernel` into one accumulator. Also reports whether
-    /// every draw lay in the kernel's box.
-    fn record(&self, ctx: &EvalContext, kernel: &WindowKernel) -> (RankAccumulator, bool) {
+    /// every draw lay in the kernel's box. With a `replay` log, the draws
+    /// are replayed from it; otherwise they are sampled into a log of one
+    /// byte per trial, which is returned (incomplete if they outgrew it).
+    fn record(
+        &self,
+        ctx: &EvalContext,
+        kernel: &WindowKernel,
+        replay: Option<&AttemptLog>,
+    ) -> (RankAccumulator, bool, AttemptLog) {
         let soa = ctx.soa();
         let (n, m) = (soa.n_alternatives(), soa.n_attributes());
         let sampler = self.sampler(m, ctx.weights());
@@ -387,18 +407,24 @@ impl MonteCarlo {
         let mut samples = vec![0.0; BATCH_TRIALS.min(self.trials) * m];
         let mut samples_t = vec![0.0; BLOCK_TRIALS * m];
         let mut scores_t = vec![0.0; BLOCK_TRIALS * n];
+        let budget = if replay.is_none() { self.trials } else { 0 };
+        let mut logged = AttemptLog::with_byte_budget(budget);
+        let mut at = 0;
         let mut in_box = true;
         let mut done = 0usize;
         while done < self.trials {
             let batch = BATCH_TRIALS.min(self.trials - done);
             let samples = &mut samples[..batch * m];
-            sampler.sample_batch(&mut rng, samples);
+            match replay {
+                Some(log) => sampler.replay_batch(&mut rng, samples, log, &mut at),
+                None => sampler.sample_batch_logged(&mut rng, samples, &mut logged),
+            }
             for chunk in samples.chunks(BLOCK_TRIALS * m) {
                 in_box &= kernel.record_block(soa, chunk, &mut samples_t, &mut scores_t, &mut acc);
             }
             done += batch;
         }
-        (acc, in_box)
+        (acc, in_box, logged)
     }
 
     /// The scalar reference path: one weight vector drawn and scored at a
@@ -440,7 +466,7 @@ impl MonteCarlo {
 
 /// What [`MonteCarlo::rerun_ctx`] keeps of its last run, so the next
 /// run after a `set_perf` recounts only the alternatives the edit can
-/// reorder.
+/// reorder, and redraws its weights without re-running the sampler.
 ///
 /// A rerun with the same config, trial count, seed, weight bounds and
 /// alternatives draws exactly the same weights, and the kept run had
@@ -454,6 +480,17 @@ impl MonteCarlo {
 /// unchanged rows score the same, and the other pairs keep a certified
 /// order — so its row of the counts is copied. When no alternative needs
 /// a recount, the kept result is returned without drawing a sample.
+///
+/// The cache holds the result (`8·n²` bytes of rank counts), the pair
+/// relation (`n²` bytes), the midpoint columns (`8·n·m` bytes) and, for the
+/// elicited-interval class, the sampler's [`AttemptLog`]: one bit per
+/// rejection-sampler attempt, about 2.3 KB for the paper's 10 000 trials
+/// at 1.88 attempts per draw. A recount replays the kept draws from that
+/// log instead of re-running the sampler. The log is kept only while it
+/// fits in one byte per trial (8 attempts per draw on average, so one
+/// fallback draw of 1001 attempts needs more than 125 trials' room); a
+/// box that accepts fewer attempts keeps no log, and its recount draws
+/// through the sampler.
 #[derive(Debug, Clone)]
 pub struct MonteCarloCache {
     config: MonteCarloConfig,
@@ -468,7 +505,18 @@ pub struct MonteCarloCache {
     /// The pair certificate, `rel[i·n + k]` being how `i` stands against
     /// `k` in every in-box draw.
     rel: Vec<PairOrder>,
+    /// Which sampler attempts the run kept, at most `trials` bytes; `None`
+    /// for the other classes and for a log that outgrew that bound.
+    log: Option<AttemptLog>,
     result: MonteCarloResult,
+}
+
+impl MonteCarloCache {
+    /// Heap bytes of the kept attempt log (0 when none is kept); never
+    /// more than the run's trial count.
+    pub fn attempt_log_bytes(&self) -> usize {
+        self.log.as_ref().map_or(0, AttemptLog::bytes)
+    }
 }
 
 /// The rank kernel of [`MonteCarlo::run_ctx`]: the run's pair
@@ -950,6 +998,135 @@ mod tests {
         let flipped = reference.rank_counts()[0][1];
         assert!(flipped > 0 && flipped < 160, "{flipped} flips");
         assert_eq!(mc.run_ctx(&c).rank_counts(), reference.rank_counts());
+    }
+
+    /// Two attributes with 0/½/1 utilities, `x` weighted `0.5 ± half` and
+    /// `y` anywhere in `[0, 1]`, so a draw lands in the box only when
+    /// `y ≈ x`: about 1 attempt in `1 / (4·half)`. `x-only` and `y-only`
+    /// swap with the draw, and `middle` scores `(x + y) / 2`.
+    fn narrow_box_model(half: f64) -> DecisionModel {
+        let mut b = DecisionModelBuilder::new("narrow");
+        let x = b.discrete_attribute("x", "X", &["0", "½", "1"]);
+        let y = b.discrete_attribute("y", "Y", &["0", "½", "1"]);
+        let levels = DiscreteUtility::new(vec![
+            Interval::point(0.0),
+            Interval::point(0.5),
+            Interval::point(1.0),
+        ]);
+        b.set_utility(x, UtilityFunction::Discrete(levels.clone()));
+        b.set_utility(y, UtilityFunction::Discrete(levels));
+        b.attach_attributes_to_root(&[
+            (x, Interval::new(0.5 - half, 0.5 + half)),
+            (y, Interval::new(0.0, 1.0)),
+        ]);
+        b.alternative("x-only", vec![Perf::level(2), Perf::level(0)]);
+        b.alternative("y-only", vec![Perf::level(0), Perf::level(2)]);
+        b.alternative("middle", vec![Perf::level(1), Perf::level(1)]);
+        b.build().unwrap()
+    }
+
+    /// A generator that counts its outputs.
+    struct Counting(StdRng, usize);
+
+    impl rand::RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    #[test]
+    fn an_in_box_fallback_draw_keeps_the_cache_and_replays() {
+        // About 1 attempt in 440 lands in the box, so about 1 draw in 7
+        // is the fallback, which nearly always leaves the box. Seed 692
+        // (found by search) draws 16 trials in the box, the sixth of them
+        // a fallback: 1000 rejected attempts, then a fallback draw that
+        // lands inside the widened box.
+        let mut c = ctx(&narrow_box_model(5e-4));
+        let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 16, 692);
+        let sampler = mc.sampler(2, c.weights());
+        let (lower, upper) = mc.widened_box(c.weights());
+        let mut rng = Counting(StdRng::seed_from_u64(mc.seed), 0);
+        let mut attempts = Vec::new();
+        for _ in 0..16 {
+            let before = rng.1;
+            let w = sampler.sample(&mut rng);
+            attempts.push((rng.1 - before) / 2);
+            assert!(transpose_in_box(&w, &lower, &upper, &mut [0.0; 2]), "{w:?}");
+        }
+        assert_eq!(attempts[5], 1001, "{attempts:?}");
+
+        // The run keeps its cache, but its 5967 attempts outgrow the
+        // 16-byte log bound, so the rerun after an edit draws afresh.
+        let mut cache = None;
+        mc.rerun_ctx(&c, &mut cache);
+        let kept = cache.as_ref().expect("every draw lies in the box");
+        assert_eq!(kept.attempt_log_bytes(), 0);
+        c.set_perf(1, AttributeId::from_index(0), Perf::level(1))
+            .unwrap();
+        let fresh = mc.run_ctx(&c);
+        assert_eq!(
+            mc.rerun_ctx(&c, &mut cache).rank_counts(),
+            fresh.rank_counts()
+        );
+
+        // A log of the same run without the bound replays the fallback
+        // draw too: the counts match the sampled run's.
+        let mut log = AttemptLog::with_byte_budget(16 * 126);
+        let mut rows = [0.0; 32];
+        sampler.sample_batch_logged(&mut StdRng::seed_from_u64(mc.seed), &mut rows, &mut log);
+        let log = log.finish().expect("the budget covers the run");
+        assert_eq!(log.attempts(), attempts.iter().sum::<usize>());
+        let kernel = certified_kernel(&c, &mc);
+        let (sampled, sampled_in_box, _) = mc.record(&c, &kernel, None);
+        let (replayed, replayed_in_box, _) = mc.record(&c, &kernel, Some(&log));
+        assert!(sampled_in_box && replayed_in_box);
+        assert_eq!(replayed.counts(), sampled.counts());
+        assert_eq!(replayed.counts(), fresh.rank_counts());
+    }
+
+    #[test]
+    fn a_box_accepting_under_one_in_eight_keeps_no_log() {
+        // About 1 attempt in 25 lands in the box: more than the log's one
+        // byte (8 attempts) per trial, so the cache keeps no log and each
+        // rerun draws through the sampler.
+        let mut c = ctx(&narrow_box_model(0.01));
+        let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 500, 3);
+        let mut cache = None;
+        mc.rerun_ctx(&c, &mut cache);
+        assert_eq!(cache.as_ref().expect("in the box").attempt_log_bytes(), 0);
+        for level in [1, 0, 2] {
+            c.set_perf(0, AttributeId::from_index(1), Perf::level(level))
+                .unwrap();
+            assert_eq!(
+                mc.rerun_ctx(&c, &mut cache).rank_counts(),
+                mc.run_ctx(&c).rank_counts()
+            );
+            assert_eq!(cache.as_ref().expect("in the box").attempt_log_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn the_attempt_log_stays_within_one_byte_per_trial() {
+        // The paper's elicited box takes 1.88 attempts per draw: the log
+        // holds about 2.3 KB for 10 000 trials, and is replayed on a
+        // recount.
+        let model = neon_reuse::paper_model().model;
+        let doc = model.find_attribute("doc_quality").expect("exists");
+        let kanzaki = model.alternatives.iter().position(|a| a == "Kanzaki Music");
+        let mut c = ctx(&model);
+        let mc = MonteCarlo::paper_default();
+        let mut cache = None;
+        mc.rerun_ctx(&c, &mut cache);
+        let bytes = cache.as_ref().expect("in the box").attempt_log_bytes();
+        assert!(bytes > 2000 && bytes <= 2400, "{bytes} bytes");
+        c.set_perf(kanzaki.expect("present"), doc, Perf::level(3))
+            .unwrap();
+        assert_eq!(
+            mc.rerun_ctx(&c, &mut cache).rank_counts(),
+            mc.run_ctx(&c).rank_counts()
+        );
+        assert_eq!(cache.expect("in the box").attempt_log_bytes(), bytes);
     }
 
     #[test]

@@ -147,14 +147,17 @@ proptest! {
 /// over `n_attrs` discrete attributes with `levels` of the level utilities
 /// `0, 1, 0.95, ½, ½`. Duplicate rows and equal midpoints are common, and
 /// from three levels on some certified pairs (`(1, 0)` over `(0, 0.95)`)
-/// flip order just outside the box. One of five weight boxes:
+/// flip order just outside the box. One of six weight boxes:
 ///
 /// - `0`: moderate intervals around the uniform weights;
 /// - `1`: `1e-10`-wide intervals, just below the uniform weights;
 /// - `2`: a box no normalized draw fits, so every draw takes the sampler's
 ///   clamp-and-renormalize fallback and leaves the box;
 /// - `3`: every weight in `[0, 1]`;
-/// - `4`: random intervals around the uniform weights.
+/// - `4`: random intervals around the uniform weights;
+/// - `5`: the first weight in `0.5 ± 0.005` and the others in
+///   `[0, 1 / (n_attrs − 1)]`, a box that accepts about 1 sampler attempt
+///   in 10–45 and keeps every draw inside it.
 fn kernel_model(
     n_attrs: usize,
     n_alts: usize,
@@ -195,6 +198,9 @@ fn kernel_model(
                 Interval::new(0.5 * share, 0.6 * share)
             }
             3 => Interval::new(0.0, 1.0),
+            5 if n_attrs == 1 => Interval::point(1.0),
+            5 if j == 0 => Interval::new(0.495, 0.505),
+            5 => Interval::new(0.0, 1.0 / (n_attrs - 1) as f64),
             _ => {
                 let lo = base * unit(next());
                 Interval::new(lo, (base * (1.0 + 2.0 * unit(next()))).min(1.0))
@@ -247,7 +253,7 @@ proptest! {
         // Every box under the elicited-interval class, which samples it;
         // the other three classes sample the whole simplex, so one box
         // serves them.
-        let runs = (0..5).map(|b| (b, 3)).chain((0..3).map(|c| (0, c)));
+        let runs = (0..6).map(|b| (b, 3)).chain((0..3).map(|c| (0, c)));
         for (box_kind, config_kind) in runs {
             let model = kernel_model(n_attrs, n_alts, levels, box_kind, seed);
             let c = ctx(&model);
@@ -355,8 +361,9 @@ fn stats_bits(r: &maut_sense::MonteCarloResult) -> Vec<(String, [u64; 5], [u32; 
 /// A model for the incremental Monte Carlo property: the paper's, the
 /// assessment corpus's, a generated Flat, Deep or NearDegenerate model
 /// of `n_alts` alternatives, or a tie-heavy [`kernel_model`] under any of
-/// its weight boxes (`5`) or under the box whose every draw is a
-/// fallback (`6`).
+/// its first five weight boxes (`5`), under the box whose every draw is a
+/// fallback (`6`), or under the narrow box whose runs outgrow the attempt
+/// log's one byte per trial (`7`).
 fn rerun_model(kind: usize, n_alts: usize, n_attrs: usize, seed: u64) -> DecisionModel {
     use gmaa_gen::{Family, GenConfig};
     let generated = |family| {
@@ -380,7 +387,8 @@ fn rerun_model(kind: usize, n_alts: usize, n_attrs: usize, seed: u64) -> Decisio
             seed as usize % 5,
             seed,
         ),
-        _ => kernel_model(n_attrs, n_alts, 2 + seed as usize % 4, 2, seed),
+        6 => kernel_model(n_attrs, n_alts, 2 + seed as usize % 4, 2, seed),
+        _ => kernel_model(n_attrs, n_alts, 2 + seed as usize % 4, 5, seed),
     }
 }
 
@@ -393,20 +401,23 @@ proptest! {
     /// each (no-op edits and edits back to an earlier level among them),
     /// a `set_weight` in mid-sequence, on the paper, assessment, Flat,
     /// Deep and NearDegenerate models and tie-heavy models of 2–96
-    /// alternatives (fallback-forcing boxes included), for 1–299 and
-    /// 10 000 trials and all four simulation classes.
+    /// alternatives (fallback-forcing boxes, and narrow boxes whose
+    /// attempt log outgrows its bound, included), for 1–299 and 10 000
+    /// trials and all four simulation classes. Reruns of a kept run replay
+    /// its draws from the attempt log, and a kept log never takes more
+    /// than one byte per trial.
     #[test]
     fn incremental_monte_carlo_matches_fresh_run(
-        shape in (0usize..7, 2usize..97, 1usize..11),
+        shape in (0usize..8, 2usize..97, 1usize..11),
         run in (1usize..300, 0usize..5, 0usize..4),
         plan in (1usize..7, 0usize..8, 0u64..1_000_000),
     ) {
         let ((kind, n_alts, n_attrs), (trials, long, class)) = (shape, run);
         let (steps, weight_step, seed) = plan;
         let trials = if long == 0 { 10_000 } else { trials };
-        // The fallback box only leaves its draws outside under the
-        // class that samples it.
-        let class = if kind == 6 { 3 } else { class };
+        // The fallback and narrow boxes only shape the draws under the
+        // class that samples them.
+        let class = if kind >= 6 { 3 } else { class };
         let model = rerun_model(kind, n_alts, n_attrs, seed);
         let n = model.num_alternatives();
         let m = model.num_attributes();
@@ -452,6 +463,8 @@ proptest! {
                 c.set_perf(alt, attr, perf).expect("level on the scale");
             }
             let rerun = mc.rerun_ctx(&c, &mut cache);
+            let log_bytes = cache.as_ref().map_or(0, |c| c.attempt_log_bytes());
+            prop_assert!(log_bytes <= trials, "{} log bytes for {} trials", log_bytes, trials);
             let fresh = mc.run_ctx(&c);
             prop_assert_eq!(rerun.trials, fresh.trials);
             prop_assert_eq!(rerun.rank_counts(), fresh.rank_counts(), "step {}", step);

@@ -28,4 +28,6 @@ pub use rank::{
     kendall_tau, rank_vector, spearman_rho, PairOrder, RankAccumulator, RankStats, RankWindows,
     TieBreak, RANK_LANES,
 };
-pub use sampling::{uniform_simplex, uniform_simplex_into, SimplexSampler, WeightScheme};
+pub use sampling::{
+    uniform_simplex, uniform_simplex_into, AttemptLog, SimplexSampler, WeightScheme,
+};

@@ -11,6 +11,11 @@
 //!
 //! All three are implemented here over any [`rand::Rng`], seeded by callers
 //! for reproducibility.
+//!
+//! A class-3 run can also record which rejection-sampler attempts it kept
+//! ([`AttemptLog`], one bit per attempt) and later redraw the same rows
+//! from that log ([`SimplexSampler::replay_batch`]), bit for bit, without
+//! repeating the box tests.
 
 use rand::Rng;
 
@@ -171,49 +176,76 @@ impl SimplexSampler {
                 }
             }
             WeightScheme::Intervals { lower, upper } => {
-                for _ in 0..self.max_rejects {
-                    // Draw and accumulate in one pass (the sum still adds
-                    // in index order), then normalize and box-check in a
-                    // second; with one reciprocal instead of n divisions.
-                    // The hot loop spends real time here.
-                    let mut sum = 0.0;
-                    for ((x, &l), &s) in out.iter_mut().zip(lower).zip(&self.span) {
-                        // `random_range(l..=u)`, with `u − l` precomputed.
-                        let v = l + rng.random::<f64>() * s;
-                        *x = v;
-                        sum += v;
-                    }
-                    if sum <= 0.0 {
-                        continue;
-                    }
-                    let inv = 1.0 / sum;
-                    let mut ok = true;
-                    for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
-                        let v = *x * inv;
-                        *x = v;
-                        ok &= v >= l - 1e-9 && v <= u + 1e-9;
-                    }
-                    if ok {
-                        return;
-                    }
-                }
-                // Fallback: one more draw, normalized, clamped into the
-                // box and renormalized once. This keeps the sampler total,
-                // but the renormalization can move weights back out of
-                // the box; the result is only guaranteed to lie on the
-                // simplex.
-                for ((x, &l), &s) in out.iter_mut().zip(lower).zip(&self.span) {
-                    *x = l + rng.random::<f64>() * s;
-                }
-                let inv = 1.0 / out.iter().sum::<f64>().max(1e-12);
-                for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
-                    *x = (*x * inv).clamp(l, u);
-                }
-                let inv = 1.0 / out.iter().sum::<f64>();
-                for x in out.iter_mut() {
-                    *x *= inv;
-                }
+                self.sample_intervals(rng, out, lower, upper);
             }
+        }
+    }
+
+    /// One `Intervals` draw into `out`; returns how many attempts were
+    /// rejected before the kept one, `max_rejects` when the kept one is
+    /// the fallback draw.
+    #[inline(always)]
+    fn sample_intervals<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        out: &mut [f64],
+        lower: &[f64],
+        upper: &[f64],
+    ) -> usize {
+        for rejected in 0..self.max_rejects {
+            let sum = self.attempt(rng, out, lower);
+            if sum <= 0.0 {
+                continue;
+            }
+            // Normalize and box-check in one pass, with one reciprocal
+            // instead of n divisions.
+            let inv = 1.0 / sum;
+            let mut ok = true;
+            for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
+                let v = *x * inv;
+                *x = v;
+                ok &= v >= l - 1e-9 && v <= u + 1e-9;
+            }
+            if ok {
+                return rejected;
+            }
+        }
+        self.fallback(rng, out, lower, upper);
+        self.max_rejects
+    }
+
+    /// One `Intervals` attempt: `random_range(l..=u)` per weight, with
+    /// `u − l` precomputed, into `out`; returns the sum, added in index
+    /// order. Takes exactly `dim()` generator outputs.
+    #[inline(always)]
+    fn attempt<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64], lower: &[f64]) -> f64 {
+        let mut sum = 0.0;
+        for ((x, &l), &s) in out.iter_mut().zip(lower).zip(&self.span) {
+            let v = l + rng.random::<f64>() * s;
+            *x = v;
+            sum += v;
+        }
+        sum
+    }
+
+    /// The `Intervals` fallback: one more draw, normalized, clamped into
+    /// the box and renormalized once. This keeps the sampler total, but
+    /// the renormalization can move weights back out of the box; the
+    /// result is only guaranteed to lie on the simplex.
+    fn fallback<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        out: &mut [f64],
+        lower: &[f64],
+        upper: &[f64],
+    ) {
+        let inv = 1.0 / self.attempt(rng, out, lower).max(1e-12);
+        for ((x, &l), &u) in out.iter_mut().zip(lower).zip(upper) {
+            *x = (*x * inv).clamp(l, u);
+        }
+        let inv = 1.0 / out.iter().sum::<f64>();
+        for x in out.iter_mut() {
+            *x *= inv;
         }
     }
 
@@ -230,6 +262,151 @@ impl SimplexSampler {
             self.sample_into(&mut local, row);
         }
         *rng = local;
+    }
+
+    /// [`SimplexSampler::sample_batch`] that also appends to `log` one bit
+    /// per `Intervals` attempt: the draws, and the generator state left
+    /// behind, are exactly those of `sample_batch`. Only `Intervals` draws
+    /// are logged; under any other scheme the log is marked incomplete.
+    pub fn sample_batch_logged<R: Rng + Clone>(
+        &self,
+        rng: &mut R,
+        out: &mut [f64],
+        log: &mut AttemptLog,
+    ) {
+        let WeightScheme::Intervals { lower, upper } = &self.scheme else {
+            log.complete = false;
+            return self.sample_batch(rng, out);
+        };
+        assert_eq!(out.len() % self.n, 0, "sample batch arity");
+        // lint:allow(no-alloc-in-kernel) -- copies the generator state, no heap
+        let mut local = rng.clone();
+        for row in out.chunks_exact_mut(self.n) {
+            let rejected = self.sample_intervals(&mut local, row, lower, upper);
+            log.push_draw(rejected);
+        }
+        *rng = local;
+    }
+
+    /// Redraw into `out` the rows an `Intervals` run logged into `log`,
+    /// starting at attempt `*at` (advanced past the rows drawn), from the
+    /// generator state that run started these rows from. The rows and the
+    /// generator state left behind are bit-identical to
+    /// [`SimplexSampler::sample_batch`]'s, but a rejected attempt only
+    /// steps the generator `dim()` times, and a kept one repeats the
+    /// draw's float operations without the box test. Panics if the
+    /// scheme is not `Intervals` or the log runs out of kept attempts.
+    pub fn replay_batch<R: Rng + Clone>(
+        &self,
+        rng: &mut R,
+        out: &mut [f64],
+        log: &AttemptLog,
+        at: &mut usize,
+    ) {
+        let WeightScheme::Intervals { lower, upper } = &self.scheme else {
+            panic!("only Intervals draws are logged");
+        };
+        assert_eq!(out.len() % self.n, 0, "sample batch arity");
+        // lint:allow(no-alloc-in-kernel) -- copies the generator state, no heap
+        let mut local = rng.clone();
+        for row in out.chunks_exact_mut(self.n) {
+            let rejected = log.rejections_before_kept(at);
+            for _ in 0..rejected * self.n {
+                local.next_u64();
+            }
+            if rejected < self.max_rejects {
+                let inv = 1.0 / self.attempt(&mut local, row, lower);
+                for x in row.iter_mut() {
+                    *x *= inv;
+                }
+            } else {
+                self.fallback(&mut local, row, lower, upper);
+            }
+        }
+        *rng = local;
+    }
+}
+
+/// Which attempts of an `Intervals` rejection sampler were kept, one bit
+/// per attempt in draw order (set when kept), so that
+/// [`SimplexSampler::replay_batch`] can redraw the run without testing
+/// a single box. Each draw is a run of rejected attempts ended by a kept
+/// one; a run of 1000 rejections is ended by the kept fallback draw. The log holds at most the bytes it was created with: an attempt
+/// past them marks it incomplete, and [`AttemptLog::finish`] then
+/// returns nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttemptLog {
+    words: Vec<u64>,
+    /// Attempts logged: bit `a` of the log is bit `a % 64` of
+    /// `words[a / 64]`.
+    attempts: usize,
+    /// Whether every attempt offered to the log fit in it.
+    complete: bool,
+}
+
+impl AttemptLog {
+    /// An empty log of at most `bytes` bytes, rounded down to whole
+    /// 64-bit words.
+    pub fn with_byte_budget(bytes: usize) -> AttemptLog {
+        AttemptLog {
+            words: vec![0; bytes / 8],
+            attempts: 0,
+            complete: true,
+        }
+    }
+
+    /// Attempts logged.
+    pub fn attempts(&self) -> usize {
+        self.attempts
+    }
+
+    /// Heap bytes the log holds.
+    pub fn bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// The log trimmed to the words its attempts fill, or `None` if some
+    /// attempt did not fit.
+    pub fn finish(mut self) -> Option<AttemptLog> {
+        if !self.complete {
+            return None;
+        }
+        self.words.truncate(self.attempts.div_ceil(64));
+        self.words.shrink_to_fit();
+        Some(self)
+    }
+
+    /// Log a draw: `rejected` rejected attempts, then the kept one. The
+    /// words start zeroed, so only the kept attempt's bit is written.
+    #[inline(always)]
+    fn push_draw(&mut self, rejected: usize) {
+        let kept = self.attempts + rejected;
+        match self.words.get_mut(kept / 64) {
+            Some(word) => {
+                *word |= 1 << (kept % 64);
+                self.attempts = kept + 1;
+            }
+            None => self.complete = false,
+        }
+    }
+
+    /// The rejected attempts from `*at` up to the next kept one; moves
+    /// `*at` past the kept attempt.
+    #[inline(always)]
+    fn rejections_before_kept(&self, at: &mut usize) -> usize {
+        let start = *at;
+        loop {
+            let word = self
+                .words
+                .get(*at / 64)
+                .expect("the log holds a kept attempt for every replayed draw")
+                >> (*at % 64);
+            if word != 0 {
+                *at += word.trailing_zeros() as usize + 1;
+                return *at - 1 - start;
+            }
+            *at += 64 - *at % 64;
+        }
     }
 }
 
@@ -482,6 +659,78 @@ mod tests {
             // The generator state was written back: the next draws agree.
             assert_eq!(s.sample(&mut row_rng), s.sample(&mut batch_rng));
         }
+    }
+
+    #[test]
+    fn fallback_draws_replay_bit_for_bit() {
+        // Every draw is the clamp-and-renormalize fallback (see
+        // `interval_fallback_can_leave_the_box_but_stays_on_the_simplex`):
+        // 1000 rejected attempts and the kept fallback. Logged in batches
+        // of 2 rows, replayed in batches of 3.
+        let s = SimplexSampler::new(
+            2,
+            WeightScheme::Intervals {
+                lower: vec![0.5, 0.5],
+                upper: vec![0.5, 0.6],
+            },
+        );
+        let mut plain_rng = rng();
+        let mut plain = vec![0.0; 10];
+        s.sample_batch(&mut plain_rng, &mut plain);
+        let mut log = AttemptLog::with_byte_budget(5 * 126 + 8);
+        let mut logged_rng = rng();
+        let mut logged = vec![f64::NAN; 10];
+        for chunk in logged.chunks_mut(4) {
+            s.sample_batch_logged(&mut logged_rng, chunk, &mut log);
+        }
+        assert_eq!(plain, logged, "logging leaves the draws alone");
+        let log = log.finish().expect("the budget covers every attempt");
+        assert_eq!(log.attempts(), 5 * 1001);
+        let mut replay_rng = rng();
+        let mut replayed = vec![f64::NAN; 10];
+        let mut at = 0;
+        for chunk in replayed.chunks_mut(6) {
+            s.replay_batch(&mut replay_rng, chunk, &log, &mut at);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain), bits(&replayed));
+        assert_eq!(at, log.attempts());
+        assert_eq!(format!("{plain_rng:?}"), format!("{replay_rng:?}"));
+        assert_eq!(format!("{plain_rng:?}"), format!("{logged_rng:?}"));
+    }
+
+    #[test]
+    fn a_log_past_its_budget_or_of_another_scheme_is_dropped() {
+        let s = SimplexSampler::new(
+            2,
+            WeightScheme::Intervals {
+                lower: vec![0.5, 0.5],
+                upper: vec![0.5, 0.6],
+            },
+        );
+        // 16 bytes hold 128 attempts; one fallback draw takes 1001.
+        let mut log = AttemptLog::with_byte_budget(16);
+        assert!(log.bytes() <= 16);
+        s.sample_batch_logged(&mut rng(), &mut [0.0; 2], &mut log);
+        assert_eq!(log.finish(), None);
+
+        let s = SimplexSampler::new(2, WeightScheme::Uniform);
+        let mut log = AttemptLog::with_byte_budget(16);
+        s.sample_batch_logged(&mut rng(), &mut [0.0; 2], &mut log);
+        assert_eq!(log.finish(), None);
+
+        // A finished log keeps only the words its attempts fill.
+        let s = SimplexSampler::new(
+            2,
+            WeightScheme::Intervals {
+                lower: vec![0.0, 0.0],
+                upper: vec![1.0, 1.0],
+            },
+        );
+        let mut log = AttemptLog::with_byte_budget(1000);
+        s.sample_batch_logged(&mut rng(), &mut [0.0; 2 * 65], &mut log);
+        let log = log.finish().expect("fits");
+        assert_eq!((log.attempts(), log.bytes()), (65, 16));
     }
 
     #[test]
