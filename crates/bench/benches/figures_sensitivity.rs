@@ -73,7 +73,7 @@ fn exp11_potential_optimality(c: &mut Criterion) {
     let discarded: Vec<&str> = po
         .iter()
         .filter(|o| !o.potentially_optimal)
-        .map(|o| o.name.as_str())
+        .map(|o| ctx.model().alternatives[o.alternative].as_str())
         .collect();
     // The paper discards Kanzaki Music, Photography Ontology (+1); our
     // reconstruction discards those plus the rest of the bottom tier.

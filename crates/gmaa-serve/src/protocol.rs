@@ -9,6 +9,10 @@
 //! [`Request::DiscardCycle`] routes through the engine's incremental
 //! entry points, so a typical edit→analyze round trip re-optimizes a
 //! handful of pairs instead of recomputing the whole cycle.
+//!
+//! [`Response::Analysis`] and [`Response::Cycle`] name each verdict and
+//! intensity rank by its `alternative` index into the session's model;
+//! the `name` key of a reply recorded with one is skipped on decode.
 
 use gmaa::{Analysis, DiscardCycle, WorkspaceError};
 use maut::{AttributeId, DecisionModel, Interval, ModelError, ObjectiveId, Perf};

@@ -829,7 +829,7 @@ mod tests {
                 trials,
             }) {
                 Err(ServeError::InvalidRequest(e)) => {
-                    assert!(e.contains(&MAX_MC_TRIALS.to_string()), "{e}")
+                    assert!(e.contains(&MAX_MC_TRIALS.to_string()), "{e}");
                 }
                 other => panic!("{trials} trials: {other:?}"),
             }

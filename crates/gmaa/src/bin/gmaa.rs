@@ -148,18 +148,17 @@ fn run(args: Args) -> Result<(), String> {
                 engine.model().num_alternatives()
             );
             for o in engine.potentially_optimal().map_err(|e| e.to_string())? {
+                let name = &engine.model().alternatives[o.alternative];
                 println!(
-                    "{:<24} potentially optimal: {:<5} slack {:+.4}",
-                    o.name, o.potentially_optimal, o.slack
+                    "{name:<24} potentially optimal: {:<5} slack {:+.4}",
+                    o.potentially_optimal, o.slack
                 );
             }
         }
         ["intensity"] => {
             for r in engine.intensity_ranking() {
-                println!(
-                    "{:>3}. {:<24} intensity {:+.4}",
-                    r.rank, r.name, r.intensity
-                );
+                let name = &engine.model().alternatives[r.alternative];
+                println!("{:>3}. {name:<24} intensity {:+.4}", r.rank, r.intensity);
             }
         }
         ["analyze"] => {

@@ -78,6 +78,86 @@ fn intensity_command_ranks_all() {
         .contains("Media Ontology"));
 }
 
+/// The potential and intensity verdicts carry only an alternative index;
+/// the lines that print them still name each alternative, in the same
+/// order as when the verdicts carried the names themselves.
+#[test]
+fn potential_and_intensity_lines_name_the_alternatives() {
+    let potential = stdout(&gmaa(&["potential"]));
+    let mut lines = potential.lines();
+    assert_eq!(lines.next(), Some("Non-dominated: 13 of 23"));
+    let by_model: Vec<&str> = lines.map(|l| l[..24].trim_end()).collect();
+    assert_eq!(
+        by_model,
+        [
+            "COMM",
+            "MPEG7 Hunter",
+            "MPEG-7X",
+            "SAPO",
+            "DIG35",
+            "CSO",
+            "AceMedia VDO",
+            "VRACORE3 ASSEM",
+            "Boemie VDO",
+            "Audio Ontology",
+            "Media Ontology",
+            "Kanzaki Music",
+            "Music Ontology",
+            "Music Rights",
+            "Open Drama",
+            "MPEG7 MDS",
+            "VraCore3 Simile",
+            "Nokia Ontology",
+            "SRO",
+            "Device Ontology",
+            "MPEG7 Ontology",
+            "Photography Ontology",
+            "M3O",
+        ]
+    );
+    assert!(potential.contains("Kanzaki Music            potentially optimal: false slack -0.1117"));
+
+    let intensity = stdout(&gmaa(&["intensity"]));
+    let by_rank: Vec<&str> = intensity.lines().map(|l| l[5..29].trim_end()).collect();
+    assert_eq!(
+        by_rank,
+        [
+            "Media Ontology",
+            "Boemie VDO",
+            "COMM",
+            "SAPO",
+            "DIG35",
+            "CSO",
+            "Audio Ontology",
+            "MPEG-7X",
+            "AceMedia VDO",
+            "MPEG7 Hunter",
+            "VraCore3 Simile",
+            "VRACORE3 ASSEM",
+            "Music Ontology",
+            "MPEG7 MDS",
+            "Device Ontology",
+            "SRO",
+            "Music Rights",
+            "M3O",
+            "Nokia Ontology",
+            "Open Drama",
+            "Kanzaki Music",
+            "Photography Ontology",
+            "MPEG7 Ontology",
+        ]
+    );
+    assert!(intensity.starts_with("  1. Media Ontology           intensity +4.6068\n"));
+
+    let analyze = stdout(&gmaa(&["--trials", "100", "analyze"]));
+    assert!(analyze.contains(
+        "Non-dominated: 13; potentially optimal: 13; discarded: [\"Kanzaki Music\", \
+         \"Music Ontology\", \"Music Rights\", \"Open Drama\", \"MPEG7 MDS\", \
+         \"Nokia Ontology\", \"Device Ontology\", \"MPEG7 Ontology\", \
+         \"Photography Ontology\", \"M3O\"]"
+    ));
+}
+
 #[test]
 fn no_command_fails_with_usage() {
     let out = gmaa(&[]);

@@ -110,12 +110,10 @@ impl DominanceInterval {
 }
 
 /// Intensity summary of one alternative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IntensityRank {
-    /// Index into the model's alternative list.
+    /// Index into the model's alternative list, which also names it.
     pub alternative: usize,
-    /// The alternative's name.
-    pub name: String,
     /// Σ over rivals of the expected advantage.
     pub intensity: f64,
     /// 1-based rank by intensity (descending).
@@ -425,18 +423,18 @@ impl IntervalMatrix {
     /// The discard cycle's derived outputs, read off the derivation state
     /// in `O(n² / 16 + n log n)`: the non-dominated alternatives
     /// (ascending, those no rival dominates) and the ranking of the
-    /// alternatives, named by `names` (one per row), by dominance
-    /// intensity (descending; ties break by name).
+    /// alternatives by dominance intensity (descending; ties break by
+    /// `names[alternative]`, one name per row).
     pub fn derive(&self, names: &[String]) -> (Vec<usize>, Vec<IntensityRank>) {
+        // lint:allow(no-alloc-in-kernel) -- the cycle's non-dominated output
         let non_dominated = (0..self.n).filter(|&k| self.dominators[k] == 0).collect();
         let mut ranking: Vec<IntensityRank> = (0..self.n)
-            .zip(names)
-            .map(|(i, name)| IntensityRank {
+            .map(|i| IntensityRank {
                 alternative: i,
-                name: name.clone(),
                 intensity: self.intensity(i),
                 rank: 0,
             })
+            // lint:allow(no-alloc-in-kernel) -- the cycle's ranking output
             .collect();
         // Finite intensities are guaranteed by model validation; if a NaN
         // slips through anyway it must neither abort the cycle (as
@@ -447,7 +445,7 @@ impl IntervalMatrix {
         ranking.sort_by(|a, b| {
             key(b.intensity)
                 .total_cmp(&key(a.intensity))
-                .then_with(|| a.name.cmp(&b.name))
+                .then_with(|| names[a.alternative].cmp(&names[b.alternative]))
         });
         for (pos, r) in ranking.iter_mut().enumerate() {
             r.rank = pos + 1;
@@ -500,7 +498,10 @@ mod tests {
     fn intensity_ranking_matches_clear_order() {
         let m = model(&[("top", 3, 3), ("mid", 2, 2), ("low", 0, 0)]);
         let r = intensity_ranking_ctx(&ctx(&m));
-        let names: Vec<&str> = r.iter().map(|x| x.name.as_str()).collect();
+        let names: Vec<&str> = r
+            .iter()
+            .map(|x| m.alternatives[x.alternative].as_str())
+            .collect();
         assert_eq!(names, ["top", "mid", "low"]);
         assert!(r[0].intensity > r[1].intensity);
         assert!(r[2].intensity < 0.0);
@@ -702,8 +703,9 @@ mod tests {
         let r = intensity_ranking_ctx(&ctx(&m));
         // A complete ranking of all 23, topped by the same two candidates.
         assert_eq!(r.len(), 23);
-        assert_eq!(r[0].name, "Media Ontology");
-        assert_eq!(r[1].name, "Boemie VDO");
-        assert_eq!(r.last().expect("non-empty").name, "MPEG7 Ontology");
+        let name = |x: &IntensityRank| m.alternatives[x.alternative].as_str();
+        assert_eq!(name(&r[0]), "Media Ontology");
+        assert_eq!(name(&r[1]), "Boemie VDO");
+        assert_eq!(name(r.last().expect("non-empty")), "MPEG7 Ontology");
     }
 }

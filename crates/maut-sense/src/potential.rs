@@ -90,12 +90,10 @@ const VIOLATION_EPS: f64 = 1e-10;
 const MAX_SEED: usize = 4 * WORKING_SET;
 
 /// Verdict for one alternative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PotentialOutcome {
-    /// Index into the model's alternative list.
+    /// Index into the model's alternative list, which also names it.
     pub alternative: usize,
-    /// The alternative's name.
-    pub name: String,
     /// Whether some admissible weight/utility combination makes it best.
     pub potentially_optimal: bool,
     /// The optimal slack `t*`: ≥ 0 iff potentially optimal; more negative
@@ -201,7 +199,6 @@ impl Scratch {
 struct CertifyInputs<'a> {
     polytope: &'a WeightPolytope,
     soa: &'a BandMatrixSoA,
-    names: &'a [String],
     /// Seeding order, shared by every alternative: the binding rivals are
     /// the *strong* ones, and scoring rival `k` against `i` at the
     /// polytope centroid w̄ gives `u_hi(i)·w̄ − u_lo(k)·w̄` — the
@@ -232,7 +229,6 @@ impl<'a> CertifyInputs<'a> {
         CertifyInputs {
             polytope,
             soa,
-            names: &ctx.model().alternatives,
             order,
         }
     }
@@ -319,7 +315,6 @@ impl<'a> CertifyInputs<'a> {
         Ok(PotentialCert {
             outcome: PotentialOutcome {
                 alternative: i,
-                name: self.names[i].clone(),
                 potentially_optimal: slack >= -1e-9,
                 slack,
             },
@@ -537,7 +532,7 @@ mod tests {
                 assert!(
                     nd.contains(&o.alternative),
                     "{} strictly potentially optimal but dominated",
-                    o.name
+                    m.alternatives[o.alternative]
                 );
             }
         }

@@ -88,7 +88,7 @@ fn main() {
         assert_eq!(before.non_dominated, after.non_dominated);
         println!(
             "{tenant:>8}: recovered — best by intensity still {}",
-            after.intensity[0].name
+            model.alternatives[after.intensity[0].alternative]
         );
     }
     let stats = manager.stats().aggregate();

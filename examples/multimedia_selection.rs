@@ -88,7 +88,7 @@ fn main() {
     let discarded: Vec<&str> = po
         .iter()
         .filter(|o| !o.potentially_optimal)
-        .map(|o| o.name.as_str())
+        .map(|o| engine.model().alternatives[o.alternative].as_str())
         .collect();
     println!(
         "Potentially optimal: {} of 23; discarded: {discarded:?}",

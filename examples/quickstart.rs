@@ -97,7 +97,9 @@ fn main() {
     for o in engine.potentially_optimal().expect("solver healthy") {
         println!(
             "{:<14} potentially optimal: {:>5} (slack {:+.3})",
-            o.name, o.potentially_optimal, o.slack
+            engine.model().alternatives[o.alternative],
+            o.potentially_optimal,
+            o.slack
         );
     }
 

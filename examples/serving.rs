@@ -91,7 +91,7 @@ fn main() {
             Response::Cycle(cycle) => println!(
                 "ontology-study: {} non-dominated, best by intensity: {}",
                 cycle.non_dominated.len(),
-                cycle.intensity[0].name
+                paper.alternatives[cycle.intensity[0].alternative]
             ),
             other => panic!("unexpected response {other:?}"),
         }

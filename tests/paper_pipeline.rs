@@ -136,7 +136,7 @@ fn section5_dominance_and_potential_optimality() {
     let discarded: Vec<&str> = po
         .iter()
         .filter(|o| !o.potentially_optimal)
-        .map(|o| o.name.as_str())
+        .map(|o| ctx.model().alternatives[o.alternative].as_str())
         .collect();
     assert!(discarded.contains(&"Kanzaki Music"));
     assert!(discarded.contains(&"Photography Ontology"));

@@ -415,3 +415,44 @@ fn wire_codec_bytes_match_the_golden_digests() {
         "case list changed"
     );
 }
+
+/// `Analysis` and `Cycle` replies recorded while `PotentialOutcome` and
+/// `IntensityRank` still carried a `name` beside their `alternative`
+/// index. The decoder skips the unknown key, and what it reads
+/// re-encodes to exactly the reply served now.
+#[test]
+fn replies_with_outcome_names_still_decode() {
+    let paper = neon_reuse::paper_model().model;
+    let paper_cycle = engine(paper.clone(), 1)
+        .discard_cycle()
+        .expect("cycle runs");
+    let replies = [
+        (
+            "analysis-paper",
+            Response::Analysis(Box::new(analysis(paper))),
+        ),
+        ("cycle-paper", Response::Cycle(Box::new(paper_cycle))),
+    ];
+    for (name, reply) in replies {
+        let path = format!(
+            "{}/tests/fixtures/named_replies/{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let old = std::fs::read_to_string(&path).expect("recorded reply present");
+        for key in [
+            r#"{"alternative":0,"name":"COMM","potentially_optimal":true,"#,
+            r#""name":"Media Ontology","intensity":"#,
+        ] {
+            assert!(old.contains(key), "{name}: recorded reply lacks {key}");
+        }
+        let decoded: WireResponse = serde_json::from_str(&old)
+            .unwrap_or_else(|e| panic!("{name}: recorded reply does not decode: {e}"));
+        let fresh = serde_json::to_string(&WireResponse::Ok(reply)).expect("reply encodes");
+        assert!(!fresh.contains(r#""name":"COMM","potentially_optimal""#));
+        assert_eq!(
+            serde_json::to_string(&decoded).expect("decoded reply re-encodes"),
+            fresh,
+            "{name}: the recorded reply decodes to a different reply"
+        );
+    }
+}
